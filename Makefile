@@ -24,15 +24,17 @@ GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 # the committed BENCH_PR10.json baseline.
 BENCH_FRESH ?= bench-fresh.json
 
-# The allocation gate: the codec/key benchmarks whose allocs/op are
-# deterministic enough to gate exactly (JSON and map benches vary across
-# Go versions and are deliberately excluded), the committed baseline,
-# and where the fresh run lands.
-ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey
+# The allocation gate: the codec/key benchmarks and the simulator's
+# per-impression benchmark, whose allocs/op are deterministic enough to
+# gate exactly (JSON and map-dominated benches vary across Go versions
+# and are deliberately excluded), the packages they live in, the
+# committed baseline, and where the fresh run lands.
+ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey|BenchmarkImpression
+ALLOC_PKGS ?= ./internal/beacon ./internal/campaign
 ALLOC_BASELINE ?= ALLOC_BASELINE.txt
 ALLOC_FRESH ?= alloc-fresh.txt
 
-.PHONY: all build vet test race bench cover chaos cluster-chaos trace-chaos overload-chaos fraud-chaos soak fuzz-smoke lint bench-gate alloc-gate alloc-baseline ci
+.PHONY: all build vet test race bench cover chaos cluster-chaos trace-chaos overload-chaos fraud-chaos sim-oracle soak fuzz-smoke lint bench-gate alloc-gate alloc-baseline ci
 
 all: ci
 
@@ -103,6 +105,14 @@ fraud-chaos:
 	$(GO) test -race -count=1 -run 'TestFraud|TestDetect|TestTornWALTail|Actor|TestFaultDuplicate' \
 		./internal/stress/... ./internal/detect/... ./internal/campaign/...
 
+# Compositor oracle: the campaign simulation on the counted compositor
+# (paint frames credited in closed form on the virtual clock) against
+# the per-frame reference compositor over 500 seeds — beacons, campaign
+# results, impression records and lifecycle traces must be identical.
+# Tier-1 `go test` runs the same test over 20 seeds. See DESIGN.md §17.
+sim-oracle:
+	$(GO) test -count=1 -run '^TestCountedCompositorMatchesPerFrame$$' ./internal/campaign -oracle-seeds=500
+
 # Concurrency soak: the sharded store + group-commit WAL driven through
 # the full HTTP server by concurrent clients, with store/WAL/counter
 # reconciliation, plus the sharded-vs-seed and group-commit-vs-per-record
@@ -164,7 +174,7 @@ bench-gate:
 # what keeps the zero-allocation decode path at zero.
 alloc-gate:
 	$(GO) test -run='^$$' -bench='$(ALLOC_BENCH)' -benchmem -benchtime=1000x -count=1 \
-		./internal/beacon > $(ALLOC_FRESH) || { cat $(ALLOC_FRESH); exit 1; }
+		$(ALLOC_PKGS) > $(ALLOC_FRESH) || { cat $(ALLOC_FRESH); exit 1; }
 	@cat $(ALLOC_FRESH)
 	$(GO) run ./scripts/benchgate.go -allocs -baseline $(ALLOC_BASELINE) -fresh $(ALLOC_FRESH)
 
@@ -173,11 +183,11 @@ alloc-gate:
 # a new baseline).
 alloc-baseline:
 	$(GO) test -run='^$$' -bench='$(ALLOC_BENCH)' -benchmem -benchtime=1000x -count=1 \
-		./internal/beacon > $(ALLOC_BASELINE)
+		$(ALLOC_PKGS) > $(ALLOC_BASELINE)
 	@cat $(ALLOC_BASELINE)
 
 # The blocking pipeline: correctness, analysis, coverage, crash-safety,
-# trace propagation, allocation regressions. soak and fuzz-smoke run as
+# trace propagation, the compositor oracle, allocation regressions. soak and fuzz-smoke run as
 # a separate non-blocking CI job (see .github/workflows/ci.yml);
 # bench-gate is scheduled/manual only.
-ci: build vet lint race cover chaos trace-chaos alloc-gate
+ci: build vet lint race cover chaos trace-chaos sim-oracle alloc-gate

@@ -6,8 +6,8 @@
 // surface:
 //
 //   - timers (setTimeout/setInterval equivalents on the virtual clock),
-//   - frame/paint callbacks on elements it creates inside its own iframe
-//     (the requestAnimationFrame-style facility Q-Tag builds on),
+//   - paint counts of elements it creates inside its own iframe (the
+//     requestAnimationFrame-style facility Q-Tag builds on),
 //   - beacon transport to a collection server,
 //   - a SOP-guarded geometry API (fails with dom.ErrCrossOrigin across
 //     frame boundaries), and
@@ -37,7 +37,7 @@ import (
 // environments without a cross-origin visibility API.
 var ErrNoIntersectionObserver = errors.New("adtag: IntersectionObserver not supported in this environment")
 
-// ErrNoFrameCallbacks is returned by ObservePixelPaints in environments
+// ErrNoFrameCallbacks is returned by ObservePixels in environments
 // without frame callbacks.
 var ErrNoFrameCallbacks = errors.New("adtag: frame callbacks not supported in this environment")
 
@@ -72,10 +72,9 @@ type Runtime struct {
 	impression Impression
 	tracer     *obs.LifecycleTracer
 
-	observers []*browser.PaintObserver
-	timers    []*simclock.Timer
-	pixels    []*dom.Element
-	closed    bool
+	paints []*browser.PaintSet
+	timers []*simclock.Timer
+	closed bool
 }
 
 // NewRuntime wires a tag runtime to a creative element on a page. The
@@ -107,6 +106,10 @@ func (rt *Runtime) Trace(stage obs.Stage, detail string) {
 	rt.tracer.Record(rt.impression.ID, rt.impression.CampaignID, stage,
 		simclock.Epoch.Add(rt.clock.Now()), detail)
 }
+
+// Tracing reports whether a tracer is attached, so tags can skip building
+// span details nobody records.
+func (rt *Runtime) Tracing() bool { return rt.tracer != nil }
 
 // Now returns the current virtual time.
 func (rt *Runtime) Now() time.Duration { return rt.clock.Now() }
@@ -141,22 +144,32 @@ func (rt *Runtime) CreatePixel(at geom.Point) *dom.Element {
 	local := rt.creative.Rect()
 	x := geom.Clamp(at.X, 0, local.W-1)
 	y := geom.Clamp(at.Y, 0, local.H-1)
-	px := rt.creative.AppendChild("monitor-pixel",
+	return rt.creative.AppendChild("monitor-pixel",
 		geom.Rect{X: local.X + x, Y: local.Y + y, W: 1, H: 1})
-	rt.pixels = append(rt.pixels, px)
-	return px
 }
 
-// ObservePixelPaints registers a per-frame paint callback on a monitoring
-// pixel (its center point). This is the rAF/paint-timing facility; it
-// fails in environments whose profile lacks frame callbacks.
-func (rt *Runtime) ObservePixelPaints(px *dom.Element, fn browser.PaintFunc) (*browser.PaintObserver, error) {
+// CreatePixels creates one monitoring pixel per point, as CreatePixel
+// does, and returns them in order.
+func (rt *Runtime) CreatePixels(points []geom.Point) []*dom.Element {
+	rt.creative.GrowChildren(len(points))
+	pxs := make([]*dom.Element, len(points))
+	for i, p := range points {
+		pxs[i] = rt.CreatePixel(p)
+	}
+	return pxs
+}
+
+// ObservePixels starts counting the paints of monitoring pixels in one
+// paint set, which keeps the slice. This is the rAF/paint-timing
+// facility; it fails in environments whose profile lacks frame
+// callbacks.
+func (rt *Runtime) ObservePixels(pxs []*dom.Element) (*browser.PaintSet, error) {
 	if !rt.page.Tab().Window().Browser().Profile().SupportsFrameCallbacks {
 		return nil, ErrNoFrameCallbacks
 	}
-	po := rt.page.ObservePaint(px, px.Rect().Center(), fn)
-	rt.observers = append(rt.observers, po)
-	return po, nil
+	ps := rt.page.ObservePaints(pxs...)
+	rt.paints = append(rt.paints, ps)
+	return ps, nil
 }
 
 // SendBeacon emits an event to the monitoring server, filling in the
@@ -215,15 +228,15 @@ func (rt *Runtime) Profile() browser.Profile {
 	return rt.page.Tab().Window().Browser().Profile()
 }
 
-// Close tears the tag down: cancels observers and timers and removes
-// monitoring pixels' paint activity. Used when a session ends.
+// Close tears the tag down: cancels paint sets and timers. Used when a
+// session ends.
 func (rt *Runtime) Close() {
 	if rt.closed {
 		return
 	}
 	rt.closed = true
-	for _, o := range rt.observers {
-		o.Cancel()
+	for _, ps := range rt.paints {
+		ps.Cancel()
 	}
 	for _, t := range rt.timers {
 		t.Stop()

@@ -98,14 +98,16 @@ func TestCreatePixelClampsToCreative(t *testing.T) {
 
 func TestObservePixelPaints(t *testing.T) {
 	e := newEnv(t, chromeProfile(), false)
-	px := e.rt.CreatePixel(geom.Point{X: 150, Y: 125})
-	var n int
-	if _, err := e.rt.ObservePixelPaints(px, func(time.Duration) { n++ }); err != nil {
+	pxs := e.rt.CreatePixels([]geom.Point{{X: 150, Y: 125}, {X: 10, Y: 10}})
+	ps, err := e.rt.ObservePixels(pxs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	e.clock.Advance(time.Second)
-	if n < 55 || n > 65 {
-		t.Errorf("paint count = %d, want ~60", n)
+	for i := 0; i < ps.Len(); i++ {
+		if n := ps.Count(i); n < 55 || n > 65 {
+			t.Errorf("pixel %d paint count = %d, want ~60", i, n)
+		}
 	}
 }
 
@@ -114,7 +116,7 @@ func TestObservePixelPaintsUnsupported(t *testing.T) {
 	prof.SupportsFrameCallbacks = false
 	e := newEnv(t, prof, false)
 	px := e.rt.CreatePixel(geom.Point{X: 150, Y: 125})
-	if _, err := e.rt.ObservePixelPaints(px, func(time.Duration) {}); !errors.Is(err, ErrNoFrameCallbacks) {
+	if _, err := e.rt.ObservePixels([]*dom.Element{px}); !errors.Is(err, ErrNoFrameCallbacks) {
 		t.Errorf("err = %v, want ErrNoFrameCallbacks", err)
 	}
 }
@@ -208,15 +210,15 @@ func TestPageHidden(t *testing.T) {
 func TestClose(t *testing.T) {
 	e := newEnv(t, chromeProfile(), false)
 	px := e.rt.CreatePixel(geom.Point{X: 150, Y: 125})
-	var paints, ticks int
-	e.rt.ObservePixelPaints(px, func(time.Duration) { paints++ })
+	var ticks int
+	ps, _ := e.rt.ObservePixels([]*dom.Element{px})
 	e.rt.Every(100*time.Millisecond, func() { ticks++ })
 	e.clock.Advance(500 * time.Millisecond)
-	p0, t0 := paints, ticks
+	p0, t0 := ps.Count(0), ticks
 	e.rt.Close()
 	e.rt.Close() // double close safe
 	e.clock.Advance(time.Second)
-	if paints != p0 || ticks != t0 {
-		t.Errorf("closed runtime still active: paints %d→%d ticks %d→%d", p0, paints, t0, ticks)
+	if p1 := ps.Count(0); p1 != p0 || ticks != t0 {
+		t.Errorf("closed runtime still active: paints %d→%d ticks %d→%d", p0, p1, t0, ticks)
 	}
 }

@@ -242,6 +242,20 @@ func (s *Store) Count(match func(CounterKey) bool) int {
 	return n
 }
 
+// EachCounter calls fn for every aggregation counter, shard by shard,
+// under that shard's read lock, without copying; a key split across
+// shards is visited once per shard. fn must not call into the store.
+func (s *Store) EachCounter(fn func(CounterKey, int)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for k, c := range sh.counters {
+			fn(k, c)
+		}
+		sh.mu.RUnlock()
+	}
+}
+
 // Counters returns a merged copy of the aggregation counters.
 func (s *Store) Counters() map[CounterKey]int {
 	out := make(map[CounterKey]int)

@@ -1,18 +1,16 @@
 package browser
 
 import (
-	"time"
-
 	"qtag/internal/dom"
 	"qtag/internal/geom"
 )
 
 // Page is a document loaded in a tab, together with its viewport scroll
-// state and its registered paint observers.
+// state and its live paint sets.
 type Page struct {
-	tab       *Tab
-	doc       *dom.Document
-	observers []*PaintObserver
+	tab    *Tab
+	doc    *dom.Document
+	paints []*PaintSet
 }
 
 // Tab returns the tab displaying this page.
@@ -138,46 +136,120 @@ func pointVisibleThroughFrames(el *dom.Element, pt geom.Point) bool {
 	return true
 }
 
-// PaintFunc is a per-frame paint callback; t is the virtual time of the
-// compositor tick.
-type PaintFunc func(t time.Duration)
-
-// PaintObserver is a registration created by ObservePaint. The compositor
-// invokes its callback on every frame in which the observed point is
-// renderable (plus a HiddenFPS trickle when it is not).
-type PaintObserver struct {
-	page      *Page
-	el        *dom.Element
-	pt        geom.Point // in el's document content coordinates
-	fn        PaintFunc
-	cancelled bool
-
-	// renderability cache, validated against Browser.layoutEpoch
-	epoch      uint64
-	renderable bool
-}
-
-// Cancel detaches the observer; its callback will not be invoked again.
-func (o *PaintObserver) Cancel() { o.cancelled = true }
-
-// Element returns the observed element.
-func (o *PaintObserver) Element() *dom.Element { return o.el }
-
-// ObservePaint registers a paint callback for a point of an element (point
-// given in the element's document content coordinates, typically the
-// center of a 1×1 monitoring pixel). This is the simulated equivalent of
-// animating an element and observing its paint/refresh rate, the core
+// PaintSet counts, for each of its elements, the compositor frames that
+// painted it: every frame while the center of the element's box is
+// renderable, plus the profile's HiddenFPS trickle while it is not. This
+// is the simulated equivalent of animating elements (typically 1×1
+// monitoring pixels) and observing their paint/refresh rate, the core
 // mechanism of the paper's §3.
-func (p *Page) ObservePaint(el *dom.Element, pt geom.Point, fn PaintFunc) *PaintObserver {
-	obs := &PaintObserver{page: p, el: el, pt: pt, fn: fn}
-	// Force recomputation on the first frame regardless of current epoch.
-	obs.epoch = p.tab.window.browser.layoutEpoch - 1
-	p.observers = append(p.observers, obs)
-	return obs
+//
+// Counts are advanced in closed form: renderability is cached per
+// element, recomputed at registration and at every
+// Browser.InvalidateLayout, and the frames since the last settlement are
+// credited at invalidation, CPU-load change, Cancel and read.
+type PaintSet struct {
+	page       *Page
+	b          *Browser
+	els        []*dom.Element
+	counts     []int
+	renderable []bool
+	epoch      uint64 // layout epoch renderable was computed at
+	settled    uint64 // frame sequence number counts include
+	cancelled  bool
 }
 
-// pointRenderable evaluates whether an observer's point is renderable
-// right now. Called lazily by the frame loop when the layout epoch moves.
-func (p *Page) pointRenderable(o *PaintObserver) bool {
-	return p.PointVisible(o.el, o.pt)
+// ObservePaints registers a paint set over the given elements; the set
+// keeps the slice, which must not be modified afterwards. Counts start at
+// zero.
+func (p *Page) ObservePaints(els ...*dom.Element) *PaintSet {
+	b := p.browser()
+	s := &PaintSet{
+		page:       p,
+		b:          b,
+		els:        els,
+		counts:     make([]int, len(els)),
+		renderable: make([]bool, len(els)),
+		settled:    b.frameCount(),
+	}
+	if b.perFrame {
+		// The reference compositor revalidates on its first frame.
+		s.epoch = b.layoutEpoch - 1
+	} else {
+		s.revalidate()
+	}
+	p.paints = append(p.paints, s)
+	return s
 }
+
+// Len returns the number of observed elements.
+func (s *PaintSet) Len() int { return len(s.els) }
+
+// Count returns the paints of the i-th element since registration.
+func (s *PaintSet) Count(i int) int {
+	s.settle()
+	return s.counts[i]
+}
+
+// Cancel detaches the set: its counts stop advancing.
+func (s *PaintSet) Cancel() {
+	if s.cancelled {
+		return
+	}
+	s.settle()
+	s.cancelled = true
+	p := s.page
+	for i, x := range p.paints {
+		if x == s {
+			p.paints = append(p.paints[:i], p.paints[i+1:]...)
+			break
+		}
+	}
+}
+
+// settle credits the frames since the last settlement: all of them to
+// renderable elements, the trickle frames among them to the others.
+// Renderability cannot have changed in between, since every layout change
+// settles first. The reference compositor counts per frame instead.
+func (s *PaintSet) settle() {
+	b := s.b
+	if b.perFrame || s.cancelled {
+		return
+	}
+	now := b.frameCount()
+	if now == s.settled {
+		return
+	}
+	frames := int(now - s.settled)
+	var trickle int
+	if he := b.hiddenEvery(); he > 0 {
+		trickle = int(now/he - s.settled/he)
+	}
+	for i, r := range s.renderable {
+		if r {
+			s.counts[i] += frames
+		} else {
+			s.counts[i] += trickle
+		}
+	}
+	s.settled = now
+}
+
+// revalidate recomputes every element's renderability for the current
+// layout.
+func (s *PaintSet) revalidate() {
+	for i, el := range s.els {
+		s.renderable[i] = s.page.PointVisible(el, el.Rect().Center())
+	}
+	s.epoch = s.b.layoutEpoch
+}
+
+// detach settles and cancels every paint set when the page leaves its tab.
+func (p *Page) detach() {
+	for _, s := range p.paints {
+		s.settle()
+		s.cancelled = true
+	}
+	p.paints = nil
+}
+
+func (p *Page) browser() *Browser { return p.tab.window.browser }

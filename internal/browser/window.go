@@ -137,6 +137,9 @@ func (t *Tab) Page() *Page { return t.page }
 // Navigate loads a document into the tab, replacing any current page, and
 // returns the new Page.
 func (t *Tab) Navigate(doc *dom.Document) *Page {
+	if t.page != nil {
+		t.page.detach()
+	}
 	p := &Page{tab: t, doc: doc}
 	t.page = p
 	t.window.browser.InvalidateLayout()

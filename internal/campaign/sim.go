@@ -109,6 +109,10 @@ type Config struct {
 	// merged in campaign order — traces are byte-identical at any
 	// Parallelism. Off by default to keep big runs lean.
 	TraceLifecycle bool
+	// browserOptions, when set, adjusts every impression's browser
+	// options — the compositor mode and the profile's frame rates; tests
+	// only.
+	browserOptions func(browser.Options) browser.Options
 	// Adversaries adds deterministic adversarial traffic actors (bot
 	// replay farms, ad stacking, hidden iframes, spoofed in-views,
 	// duplicate floods — see ActorKind) running after the organic
@@ -327,6 +331,9 @@ func (s *Simulator) Run() *Result {
 	for _, recs := range records {
 		res.Impressions = append(res.Impressions, recs...)
 	}
+	// Tally the beacon counts once the organic campaigns are done and
+	// before the actors run, so actor beacons stay out of them.
+	s.tally(res.Campaigns)
 
 	// Adversarial actors run after the organic campaigns, in spec
 	// order, each on its own RNG fork — bit-identical at any
@@ -411,13 +418,35 @@ func (s *Simulator) runCampaign(spec Spec, rng *simrand.RNG) (CampaignResult, []
 		out.FaultDrops = int(snap.Dropped)
 		out.FaultErrors = int(snap.Errored)
 	}
-	// Aggregate the beacon counts for this campaign from the store.
-	out.Served = s.store.Served(spec.ID)
-	out.QTagLoaded = s.store.Loaded(spec.ID, beacon.SourceQTag)
-	out.QTagInView = s.store.InView(spec.ID, beacon.SourceQTag)
-	out.CommercialLoaded = s.store.Loaded(spec.ID, beacon.SourceCommercial)
-	out.CommercialInView = s.store.InView(spec.ID, beacon.SourceCommercial)
 	return out, records, tracer
+}
+
+// tally fills in every campaign's beacon counts from the store in one
+// pass over its counters, copying none: at the end of a run the store is
+// at its largest.
+func (s *Simulator) tally(campaigns []CampaignResult) {
+	byID := make(map[string]*CampaignResult, len(campaigns))
+	for i := range campaigns {
+		byID[campaigns[i].Spec.ID] = &campaigns[i]
+	}
+	s.store.EachCounter(func(k beacon.CounterKey, n int) {
+		c := byID[k.CampaignID]
+		if c == nil {
+			return
+		}
+		switch {
+		case k.Type == beacon.EventServed:
+			c.Served += n
+		case k.Type == beacon.EventLoaded && k.Source == beacon.SourceQTag:
+			c.QTagLoaded += n
+		case k.Type == beacon.EventInView && k.Source == beacon.SourceQTag:
+			c.QTagInView += n
+		case k.Type == beacon.EventLoaded && k.Source == beacon.SourceCommercial:
+			c.CommercialLoaded += n
+		case k.Type == beacon.EventInView && k.Source == beacon.SourceCommercial:
+			c.CommercialInView += n
+		}
+	})
 }
 
 // enqueueSink is the tracing wrapper at the top of the tag beacon path: it
@@ -476,7 +505,11 @@ func (s *Simulator) runImpression(spec Spec, platform *dsp.DSP, rng *simrand.RNG
 		// empty clock advances in O(1).
 		clock.Advance(time.Duration(rng.Float64() * float64(s.cfg.SpreadOver)))
 	}
-	b := browser.New(clock, browser.Options{Profile: prof})
+	opts := browser.Options{Profile: prof}
+	if s.cfg.browserOptions != nil {
+		opts = s.cfg.browserOptions(opts)
+	}
+	b := browser.New(clock, opts)
 	defer b.Close()
 
 	vp := geom.Size{W: 1280, H: 720}
@@ -517,11 +550,17 @@ func (s *Simulator) runImpression(spec Spec, platform *dsp.DSP, rng *simrand.RNG
 	}
 	defer del.Close()
 
-	// Ground-truth oracle sampled from compositor truth.
+	// Ground-truth oracle sampled from compositor truth. The exposed
+	// fraction only changes through a layout invalidation, so it is
+	// recomputed once per layout epoch.
 	criteria := viewability.CriteriaForSize(spec.Size, false)
 	oracle := viewability.NewOracle(criteria)
+	epoch, frac := b.LayoutEpoch()-1, 0.0
 	sampler := clock.Every(50*time.Millisecond, func() {
-		oracle.Observe(clock.Now(), page.TrueVisibleFraction(del.CreativeElement))
+		if e := b.LayoutEpoch(); e != epoch {
+			epoch, frac = e, page.TrueVisibleFraction(del.CreativeElement)
+		}
+		oracle.Observe(clock.Now(), frac)
 	})
 
 	runSession(page, drawSession(rng, spec.Audience), rng)

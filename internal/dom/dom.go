@@ -22,6 +22,7 @@ package dom
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"qtag/internal/geom"
 )
@@ -140,6 +141,10 @@ func (e *Element) AppendChild(tag string, rect geom.Rect) *Element {
 	e.children = append(e.children, child)
 	return child
 }
+
+// GrowChildren reserves room for n more children, so appending them
+// allocates nothing further.
+func (e *Element) GrowChildren(n int) { e.children = slices.Grow(e.children, n) }
 
 // AttachIframe creates an iframe element at rect whose content document has
 // the given origin and a content size equal to the iframe's box. It

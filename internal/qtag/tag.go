@@ -2,6 +2,7 @@ package qtag
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"qtag/internal/adtag"
@@ -58,9 +59,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Tag is the Q-Tag measurement solution. It implements adtag.Tag.
+// Tag is the Q-Tag measurement solution. It implements adtag.Tag. A Tag
+// may deploy into many impressions, concurrently.
 type Tag struct {
 	cfg Config
+
+	mu    sync.Mutex
+	grids map[geom.Size]*grid
+}
+
+// grid is the pixel layout and area estimator for one creative size; both
+// are read-only once built, so deployments share them.
+type grid struct {
+	points []geom.Point
+	est    *AreaEstimator
 }
 
 // New returns a Q-Tag with the given configuration.
@@ -69,34 +81,49 @@ func New(cfg Config) *Tag { return &Tag{cfg: cfg.withDefaults()} }
 // Name implements adtag.Tag.
 func (t *Tag) Name() string { return string(beacon.SourceQTag) }
 
+// grid returns the cached layout for a creative size, building it on first
+// use.
+func (t *Tag) grid(size geom.Size) *grid {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	g := t.grids[size]
+	if g == nil {
+		points := Points(t.cfg.Layout, t.cfg.PixelCount, size)
+		g = &grid{points: points, est: NewAreaEstimator(points, size, t.cfg.Method)}
+		if t.grids == nil {
+			t.grids = make(map[geom.Size]*grid)
+		}
+		t.grids[size] = g
+	}
+	return g
+}
+
 // Deploy implements adtag.Tag: it plants the monitoring pixels, starts
-// observing their paint rates, and runs the viewability state machine
-// until the criteria are met (in-view beacon) and subsequently lost
-// (out-of-view beacon).
+// counting their paints, and runs the viewability state machine until the
+// criteria are met (in-view beacon) and subsequently lost (out-of-view
+// beacon).
 //
 // Deploy sends the loaded beacon — the signal that lets the monitoring
 // server count this impression as *measured* — only after the pixel
-// observers attach successfully. In an environment without frame
+// paint set attaches successfully. In an environment without frame
 // callbacks the tag cannot measure, returns an error, and the impression
 // stays unmeasured.
 func (t *Tag) Deploy(rt *adtag.Runtime) error {
 	size := rt.CreativeSize()
-	points := Points(t.cfg.Layout, t.cfg.PixelCount, size)
-	est := NewAreaEstimator(points, size, t.cfg.Method)
-
 	d := &deployment{
-		cfg:      t.cfg,
+		tag:      t,
 		rt:       rt,
 		size:     size,
-		est:      est,
 		criteria: t.criteria(rt),
 	}
-	// Attach a paint observer to every monitoring pixel before declaring
-	// the impression measured.
-	if err := d.plant(points); err != nil {
+	// Attach the paint set to the monitoring pixels before declaring the
+	// impression measured.
+	if err := d.plant(t.grid(size)); err != nil {
 		return err
 	}
-	rt.Trace(obs.StageClassified, fmt.Sprintf("pixels=%d fps>=%g", len(points), t.cfg.FPSThreshold))
+	if rt.Tracing() {
+		rt.Trace(obs.StageClassified, fmt.Sprintf("pixels=%d fps>=%g", len(d.pixels), t.cfg.FPSThreshold))
+	}
 	if err := rt.SendBeacon(beacon.SourceQTag, beacon.EventLoaded, 0); err != nil {
 		return fmt.Errorf("qtag: loaded beacon: %w", err)
 	}
@@ -113,16 +140,23 @@ func (t *Tag) criteria(rt *adtag.Runtime) viewability.Criteria {
 
 // deployment is the per-impression state machine.
 type deployment struct {
-	cfg      Config
+	tag      *Tag
 	rt       *adtag.Runtime
 	size     geom.Size
-	est      *AreaEstimator
+	grid     *grid
 	criteria viewability.Criteria
 
-	counts    []int  // paints per pixel since the last sample
-	visible   []bool // per-pixel visibility classification (scratch)
-	pixels    []*dom.Element
-	observers []*browser.PaintObserver
+	pixels []*dom.Element
+	paints *browser.PaintSet
+	// prev holds the paint counts at the previous sample; a pixel's
+	// paints in the window are its count now minus prev.
+	prev []int
+	// visible is the per-pixel classification of the last sample, frac
+	// its area estimate (valid once estimated is set); the estimate only
+	// reruns when the classification changes.
+	visible   []bool
+	frac      float64
+	estimated bool
 
 	inRun      bool
 	runStart   time.Duration
@@ -131,23 +165,25 @@ type deployment struct {
 	ticker     interface{ Stop() }
 }
 
-// plant creates the monitoring pixels for the given layout points and
-// attaches their paint observers.
-func (d *deployment) plant(points []geom.Point) error {
-	d.counts = make([]int, len(points))
-	d.visible = make([]bool, len(points))
-	d.pixels = d.pixels[:0]
-	d.observers = d.observers[:0]
-	for i, p := range points {
-		px := d.rt.CreatePixel(p)
-		d.pixels = append(d.pixels, px)
-		i := i
-		obs, err := d.rt.ObservePixelPaints(px, func(time.Duration) { d.counts[i]++ })
-		if err != nil {
-			return fmt.Errorf("qtag: deploy pixel %d: %w", i, err)
-		}
-		d.observers = append(d.observers, obs)
+// plant creates the monitoring pixels of a grid and attaches one paint set
+// to them.
+func (d *deployment) plant(g *grid) error {
+	d.grid = g
+	d.pixels = d.rt.CreatePixels(g.points)
+	paints, err := d.rt.ObservePixels(d.pixels)
+	if err != nil {
+		return fmt.Errorf("qtag: deploy pixels: %w", err)
 	}
+	d.paints = paints
+	n := len(d.pixels)
+	if cap(d.prev) < n {
+		d.prev = make([]int, n)
+		d.visible = make([]bool, n)
+	}
+	d.prev = d.prev[:n]
+	clear(d.prev)
+	d.visible = d.visible[:n]
+	d.estimated = false
 	return nil
 }
 
@@ -157,44 +193,49 @@ func (d *deployment) plant(points []geom.Point) error {
 // the old pixels and lays out a fresh grid for the new box. The dwell
 // run restarts — visibility across the relayout cannot be certified.
 func (d *deployment) replant(size geom.Size) {
-	for _, obs := range d.observers {
-		obs.Cancel()
-	}
+	d.paints.Cancel()
 	for _, px := range d.pixels {
 		px.SetHidden(true)
 	}
 	d.size = size
-	points := Points(d.cfg.Layout, d.cfg.PixelCount, size)
-	d.est = NewAreaEstimator(points, size, d.cfg.Method)
 	// plant cannot fail here: frame-callback support was proven at deploy.
-	_ = d.plant(points)
+	_ = d.plant(d.tag.grid(size))
 	d.inRun = false
 }
 
-// sample runs once per SampleInterval: estimate per-pixel fps from paint
-// counts, classify visibility against the fps threshold, estimate the
-// visible area, and advance the viewability state machine.
+// sample runs once per SampleInterval: estimate per-pixel fps from the
+// paints in the window that just closed, classify visibility against the
+// fps threshold, estimate the visible area, and advance the viewability
+// state machine.
 func (d *deployment) sample() {
 	if cur := d.rt.CreativeSize(); cur != d.size {
 		d.replant(cur)
 		return // counts from the old grid are meaningless this round
 	}
-	secs := d.cfg.SampleInterval.Seconds()
-	for i, c := range d.counts {
-		fps := float64(c) / secs
-		d.visible[i] = fps >= d.cfg.FPSThreshold
-		d.counts[i] = 0
+	secs := d.tag.cfg.SampleInterval.Seconds()
+	changed := !d.estimated
+	for i, prev := range d.prev {
+		c := d.paints.Count(i)
+		d.prev[i] = c
+		fps := float64(c-prev) / secs
+		if v := fps >= d.tag.cfg.FPSThreshold; v != d.visible[i] {
+			d.visible[i] = v
+			changed = true
+		}
 	}
-	frac := d.est.Estimate(d.visible)
+	if changed {
+		d.frac = d.grid.est.Estimate(d.visible)
+		d.estimated = true
+	}
 	now := d.rt.Now()
 
-	if frac >= d.criteria.AreaFraction {
+	if d.frac >= d.criteria.AreaFraction {
 		if !d.inRun {
 			d.inRun = true
 			// The condition held throughout the sample window that just
 			// closed (that is what the fps counts certify), so the run
 			// starts at the window's opening boundary.
-			d.runStart = now - d.cfg.SampleInterval
+			d.runStart = now - d.tag.cfg.SampleInterval
 		}
 		if !d.inViewSent && now-d.runStart >= d.criteria.Dwell {
 			d.inViewSent = true

@@ -1,6 +1,7 @@
 package qtag
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -498,5 +499,45 @@ func TestShrinkKeepsPixelBudget(t *testing.T) {
 	})
 	if active != DefaultPixelCount {
 		t.Errorf("active pixels = %d, want %d", active, DefaultPixelCount)
+	}
+}
+
+// TestTagSharedAcrossGoroutines: one Tag deploys into independent worlds
+// from several goroutines at once, sharing its per-size grid cache; every
+// impression still measures. Run under -race.
+func TestTagSharedAcrossGoroutines(t *testing.T) {
+	tag := New(Config{})
+	sizes := []geom.Size{{W: 300, H: 250}, {W: 320, H: 50}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				size := sizes[(g+i)%len(sizes)]
+				clock := simclock.New()
+				b := browser.New(clock, browser.Options{Profile: chrome()})
+				w := b.OpenWindow(geom.Point{}, geom.Size{W: 1280, H: 720})
+				doc := dom.NewDocument(pubOrigin, geom.Size{W: 1280, H: 2000})
+				page := w.ActiveTab().Navigate(doc)
+				frame := doc.Root().AttachIframe(dspOrigin, geom.Rect{X: 100, Y: 100, W: size.W, H: size.H})
+				creative := frame.Root().AppendChild("creative", geom.Rect{W: size.W, H: size.H})
+				store := beacon.NewStore()
+				rt := adtag.NewRuntime(page, creative, store, adtag.Impression{ID: "i", CampaignID: "c"})
+				if err := tag.Deploy(rt); err != nil {
+					t.Error(err)
+					return
+				}
+				clock.Advance(1500 * time.Millisecond)
+				b.Close()
+				if store.InView("c", beacon.SourceQTag) != 1 {
+					t.Errorf("goroutine %d impression %d (%v): in-view missing", g, i, size)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(tag.grids) != len(sizes) {
+		t.Errorf("grid cache holds %d sizes, want %d", len(tag.grids), len(sizes))
 	}
 }

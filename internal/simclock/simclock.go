@@ -10,10 +10,16 @@
 // Callbacks fire in timestamp order; callbacks scheduled for the same
 // instant fire in registration order (FIFO), which gives deterministic
 // interleaving of, for example, a frame paint and a dwell-timer expiry.
+//
+// A periodic event that has no side effect beyond being counted (a
+// compositor frame) is better expressed as a Ticks: it occupies the same
+// place in that order as an Every timer would, but its firings are
+// credited in closed form, without a heap operation or a callback each.
 package simclock
 
 import (
 	"container/heap"
+	"math"
 	"time"
 )
 
@@ -27,6 +33,7 @@ var Epoch = time.Date(2019, time.December, 9, 0, 0, 0, 0, time.UTC)
 type Clock struct {
 	now    time.Duration
 	queue  timerQueue
+	ticks  []*Ticks // live counted tickers
 	nextID uint64
 	seq    uint64
 }
@@ -105,32 +112,40 @@ func (c *Clock) Advance(d time.Duration) {
 }
 
 // AdvanceTo moves virtual time forward to the absolute instant t (no-op if
-// t is in the past), firing every due callback in order.
+// t is in the past), firing every due callback in order and crediting
+// every due Ticks firing.
 func (c *Clock) AdvanceTo(t time.Duration) {
 	for {
 		next, ok := c.peek()
 		if !ok || next.at > t {
 			break
 		}
+		c.credit(next.at, next.seq)
 		c.popAndFire(next)
 	}
+	// Every firing at or before t precedes "the end of the window".
+	c.credit(t, math.MaxUint64)
 	if t > c.now {
 		c.now = t
 	}
 }
 
 // Step fires the single next pending callback, advancing the clock to its
-// deadline. It returns false when no callbacks are pending.
+// deadline and crediting the Ticks firings ordered before it. It returns
+// false when no callbacks are pending; counted tickers alone do not keep
+// Step going, and time does not move then.
 func (c *Clock) Step() bool {
 	next, ok := c.peek()
 	if !ok {
 		return false
 	}
+	c.credit(next.at, next.seq)
 	c.popAndFire(next)
 	return true
 }
 
-// Pending returns the number of scheduled (non-stopped) callbacks.
+// Pending returns the number of scheduled (non-stopped) callbacks. Counted
+// tickers have no callback and are not included.
 func (c *Clock) Pending() int {
 	n := 0
 	for _, t := range c.queue {
@@ -142,7 +157,7 @@ func (c *Clock) Pending() int {
 }
 
 // NextDeadline returns the virtual time of the next pending callback; ok is
-// false when nothing is scheduled.
+// false when no callback is scheduled. Counted tickers are not included.
 func (c *Clock) NextDeadline() (at time.Duration, ok bool) {
 	next, ok := c.peek()
 	if !ok {
@@ -177,6 +192,84 @@ func (c *Clock) popAndFire(t *Timer) {
 		heap.Push(&c.queue, t)
 	}
 	t.fn()
+}
+
+// Ticks is a periodic ticker that runs no callback and only counts its
+// firings (see NewTicks).
+type Ticks struct {
+	clock    *Clock
+	at       time.Duration // deadline of the next firing
+	seq      uint64        // sequence of the next firing
+	interval time.Duration
+	count    uint64
+}
+
+// NewTicks starts a counted ticker that fires every interval, first one
+// interval from now. Each firing takes the place in the clock's order that
+// an Every timer registered at this point would take (see credit), so a
+// callback that reads Count sees every firing ordered before it,
+// same-instant ties included, and none after. The interval must be
+// positive.
+func (c *Clock) NewTicks(interval time.Duration) *Ticks {
+	if interval <= 0 {
+		panic("simclock: NewTicks with non-positive interval")
+	}
+	c.seq++
+	t := &Ticks{clock: c, at: c.now + interval, seq: c.seq, interval: interval}
+	c.ticks = append(c.ticks, t)
+	return t
+}
+
+// Count returns the number of firings so far.
+func (t *Ticks) Count() uint64 { return t.count }
+
+// Stop ends the ticker; Count keeps its final value. It is safe to call
+// multiple times.
+func (t *Ticks) Stop() {
+	ticks := t.clock.ticks
+	for i, x := range ticks {
+		if x == t {
+			copy(ticks[i:], ticks[i+1:])
+			ticks[len(ticks)-1] = nil
+			t.clock.ticks = ticks[:len(ticks)-1]
+			return
+		}
+	}
+}
+
+// before reports whether the event (at, seq) is ordered before (bAt, bSeq).
+func before(at time.Duration, seq uint64, bAt time.Duration, bSeq uint64) bool {
+	return at < bAt || (at == bAt && seq < bSeq)
+}
+
+// credit counts every Ticks firing ordered before the event (at, seq),
+// in closed form. A seq of math.MaxUint64 stands for "after every event at
+// this instant".
+//
+// A ticker's pending firing keeps the sequence it took when re-armed;
+// every later firing in the run is re-armed with a fresh sequence, larger
+// than any existing one, so it precedes the event only at a strictly
+// earlier deadline — or at the same deadline when the bound is
+// open-ended. The sequences the run consumes advance the clock's counter
+// exactly as re-arming Every timers would. With several tickers, their
+// fresh sequences are handed out ticker by ticker rather than interleaved
+// in time; only ticker-versus-ticker ties could tell, and tickers run no
+// code.
+func (c *Clock) credit(at time.Duration, seq uint64) {
+	for _, t := range c.ticks {
+		if !before(t.at, t.seq, at, seq) {
+			continue
+		}
+		span := at - t.at
+		if seq != math.MaxUint64 {
+			span--
+		}
+		n := 1 + uint64(max(span, 0)/t.interval)
+		t.count += n
+		t.at += time.Duration(n) * t.interval
+		c.seq += n
+		t.seq = c.seq
+	}
 }
 
 // timerQueue is a min-heap ordered by (deadline, registration sequence).
