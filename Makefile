@@ -1,7 +1,8 @@
 # Developer / CI entry points. `make ci` is what a pipeline should run:
 # build, vet, the full test suite under the race detector (the beacon
-# drain goroutine, circuit breaker, and journal are concurrency hot
-# spots — plain `go test` is not enough), and the coverage gate.
+# drain goroutine, circuit breaker, WAL committer and collector
+# shutdown are concurrency hot spots — plain `go test` is not enough),
+# and the coverage gate.
 
 GO ?= go
 
@@ -34,7 +35,7 @@ ALLOC_PKGS ?= ./internal/beacon ./internal/campaign
 ALLOC_BASELINE ?= ALLOC_BASELINE.txt
 ALLOC_FRESH ?= alloc-fresh.txt
 
-.PHONY: all build vet test race bench cover chaos cluster-chaos trace-chaos overload-chaos fraud-chaos sim-oracle soak fuzz-smoke lint bench-gate alloc-gate alloc-baseline ci
+.PHONY: all build vet test race bench cover chaos cluster-chaos trace-chaos overload-chaos fraud-chaos sim-oracle soak fuzz-smoke lint bench-gate alloc-gate alloc-baseline perfbench-check ci
 
 all: ci
 
@@ -186,8 +187,16 @@ alloc-baseline:
 		$(ALLOC_PKGS) > $(ALLOC_BASELINE)
 	@cat $(ALLOC_BASELINE)
 
+# The repository benchmark (perfbench/) is a nested Go module, so the
+# root `go build ./...` never compiles it: vet and test it on its own,
+# so a change that removes a symbol the benchmark uses fails here
+# instead of at benchmark time.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The blocking pipeline: correctness, analysis, coverage, crash-safety,
-# trace propagation, the compositor oracle, allocation regressions. soak and fuzz-smoke run as
-# a separate non-blocking CI job (see .github/workflows/ci.yml);
-# bench-gate is scheduled/manual only.
-ci: build vet lint race cover chaos trace-chaos sim-oracle alloc-gate
+# trace propagation, the compositor oracle, allocation regressions and
+# the benchmark module's build. soak and fuzz-smoke run as a separate
+# non-blocking CI job (see .github/workflows/ci.yml); bench-gate is
+# scheduled/manual only.
+ci: build vet lint race cover chaos trace-chaos sim-oracle alloc-gate perfbench-check

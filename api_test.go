@@ -1,7 +1,6 @@
 package qtag_test
 
 import (
-	"bytes"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"qtag/internal/dom"
 	"qtag/internal/geom"
 	"qtag/internal/simclock"
+	"qtag/internal/wal"
 )
 
 // TestPublicAPIQuickstart drives the README's core flow through the
@@ -152,15 +152,17 @@ func TestFacadeReproductionEntryPoints(t *testing.T) {
 }
 
 // TestJournaledCollectionServer exercises the durability path end to
-// end: ingest over HTTP through a journaling sink, then rebuild a fresh
-// collector from the journal bytes.
+// end: ingest over HTTP through the WAL journal, then restart — reopen
+// the same WAL directory — and find the collector rebuilt from it.
 func TestJournaledCollectionServer(t *testing.T) {
+	dir := t.TempDir()
 	store := qtagapi.NewCollector()
-	journalBuf := &writableBuffer{}
-	journal := beacon.NewJournal(journalBuf)
+	journal, _, err := beacon.OpenDurable(wal.Options{Dir: dir, Fsync: wal.FsyncAlways}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	server := beacon.NewServerWithSink(store, beacon.Tee(store, journal))
 	srv := httptest.NewServer(server)
-	defer srv.Close()
 
 	sink := &qtagapi.HTTPSink{BaseURL: srv.URL}
 	events := []qtagapi.Event{
@@ -171,29 +173,24 @@ func TestJournaledCollectionServer(t *testing.T) {
 	if err := sink.SubmitBatch(events); err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.Flush(); err != nil {
+	srv.Close()
+	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	restored := qtagapi.NewCollector()
-	st, err := beacon.ReplayJournal(journalBuf.reader(), restored)
-	if err != nil || st.Replayed != 3 {
-		t.Fatalf("replay: %+v %v", st, err)
+	reopened, rec, err := beacon.OpenDurable(wal.Options{Dir: dir}, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if rec.Replayed != 3 {
+		t.Fatalf("restart replayed %d events, want 3 (%+v)", rec.Replayed, rec)
 	}
 	if restored.InView("c", beacon.SourceQTag) != 1 {
 		t.Error("restored collector wrong")
 	}
 }
-
-// writableBuffer is a minimal growable byte sink with a reader view.
-type writableBuffer struct{ data []byte }
-
-func (b *writableBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-func (b *writableBuffer) reader() *bytes.Reader { return bytes.NewReader(b.data) }
 
 // TestFacadeExtensions smoke-tests the extension entry points: the JS tag
 // generator, the auditor and the predictor.

@@ -1,7 +1,7 @@
 // Command qtag-replay reads a beacon journal and either prints the
 // aggregated stats or re-submits every event to a live collection
-// server. -journal accepts both formats qtag-server writes: a JSONL
-// file (-journal mode) or a WAL directory (-wal-dir mode — newest valid
+// server. -journal accepts both journal formats: a JSONL file (what
+// qtag-server wrote before its WAL) or a WAL directory (newest valid
 // snapshot first, then every record past its coverage, read-only and
 // safe to point at a live or crashed server's directory).
 //

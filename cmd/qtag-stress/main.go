@@ -32,6 +32,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"qtag/internal/collector"
 	"qtag/internal/stress"
 	"qtag/internal/wal"
 )
@@ -98,14 +99,16 @@ func runLoad(url string, workers, events, batchSize, shards int, walDir, fsyncMo
 		if err != nil {
 			return err
 		}
-		srv, err := stress.StartIngestServer(stress.IngestServerConfig{
-			Shards:              shards,
-			WALDir:              walDir,
-			Fsync:               policy,
-			GroupCommit:         groupCommit,
-			GroupCommitMaxBatch: gcMaxBatch,
-			GroupCommitMaxWait:  gcMaxWait,
-			SyncDurability:      syncDur,
+		srv, err := stress.StartIngestServer(collector.Config{
+			Shards: shards,
+			WAL: wal.Options{
+				Dir:                 walDir,
+				Fsync:               policy,
+				GroupCommit:         groupCommit,
+				GroupCommitMaxBatch: gcMaxBatch,
+				GroupCommitMaxWait:  gcMaxWait,
+			},
+			DurableSync: syncDur && walDir != "",
 		})
 		if err != nil {
 			return err

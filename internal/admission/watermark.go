@@ -72,6 +72,21 @@ type WatermarkConfig struct {
 	OnChange func(from, to Level)
 }
 
+// Validate checks that the thresholds nest where more than one is set;
+// otherwise some levels would be unreachable.
+func (cfg WatermarkConfig) Validate() error {
+	if cfg.ShedBytes > 0 && cfg.LowBytes > 0 && cfg.ShedBytes > cfg.LowBytes {
+		return fmt.Errorf("admission: shed watermark %d above low watermark %d", cfg.ShedBytes, cfg.LowBytes)
+	}
+	if cfg.ReadOnlyBytes > 0 && cfg.ShedBytes > 0 && cfg.ReadOnlyBytes > cfg.ShedBytes {
+		return fmt.Errorf("admission: read-only watermark %d above shed watermark %d", cfg.ReadOnlyBytes, cfg.ShedBytes)
+	}
+	if cfg.ReadOnlyBytes > 0 && cfg.LowBytes > 0 && cfg.ReadOnlyBytes > cfg.LowBytes {
+		return fmt.Errorf("admission: read-only watermark %d above low watermark %d", cfg.ReadOnlyBytes, cfg.LowBytes)
+	}
+	return nil
+}
+
 // Watermark polls filesystem free space and maps it onto a degradation
 // Level. Probe errors are counted and keep the previous level — a
 // flapping statfs must not bounce the node in and out of read-only.
@@ -102,16 +117,8 @@ func NewWatermark(cfg WatermarkConfig) (*Watermark, error) {
 	if cfg.Statfs == nil {
 		cfg.Statfs = platformStatfs
 	}
-	// Where multiple thresholds are set they must nest, or some levels
-	// would be unreachable.
-	if cfg.ShedBytes > 0 && cfg.LowBytes > 0 && cfg.ShedBytes > cfg.LowBytes {
-		return nil, fmt.Errorf("admission: shed watermark %d above low watermark %d", cfg.ShedBytes, cfg.LowBytes)
-	}
-	if cfg.ReadOnlyBytes > 0 && cfg.ShedBytes > 0 && cfg.ReadOnlyBytes > cfg.ShedBytes {
-		return nil, fmt.Errorf("admission: read-only watermark %d above shed watermark %d", cfg.ReadOnlyBytes, cfg.ShedBytes)
-	}
-	if cfg.ReadOnlyBytes > 0 && cfg.LowBytes > 0 && cfg.ReadOnlyBytes > cfg.LowBytes {
-		return nil, fmt.Errorf("admission: read-only watermark %d above low watermark %d", cfg.ReadOnlyBytes, cfg.LowBytes)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &Watermark{
 		cfg:  cfg,

@@ -62,7 +62,7 @@ const (
 // Failure handling: transport errors, 5xx and 429 are retried up to
 // Retries times with capped exponential backoff, honoring a server
 // Retry-After header when one is present (the server's own RateLimiter
-// and OverloadGuard emit them). Other 4xx responses are returned as
+// and the admission controller emit them). Other 4xx responses are returned as
 // *PermanentError immediately — the server rejected the payload and
 // resubmitting the same bytes cannot succeed.
 type HTTPSink struct {

@@ -1,7 +1,7 @@
 package beacon
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -12,29 +12,30 @@ import (
 	"testing"
 )
 
+// jsonlJournal renders events in the JSONL journal format that
+// ReplayJournal reads: one JSON object per line.
+func jsonlJournal(t *testing.T, events ...Event) string {
+	t.Helper()
+	var b strings.Builder
+	for _, e := range events {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 func TestJournalRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	events := []Event{
+	journal := jsonlJournal(t,
 		ev("a", "c1", "", EventServed),
 		ev("a", "c1", SourceQTag, EventLoaded),
 		ev("a", "c1", SourceQTag, EventInView),
-	}
-	for _, e := range events {
-		mustSubmit(t, j, e)
-	}
-	if j.Len() != 3 {
-		t.Errorf("Len = %d", j.Len())
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 3 {
-		t.Errorf("journal lines = %d", got)
-	}
-
+	)
 	store := NewStore()
-	st, err := ReplayJournal(&buf, store)
+	st, err := ReplayJournal(strings.NewReader(journal), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,25 +47,25 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalRejectsInvalid: a well-formed line carrying an invalid
+// event is skipped, never stored.
 func TestJournalRejectsInvalid(t *testing.T) {
-	j := NewJournal(&bytes.Buffer{})
-	if err := j.Submit(Event{}); err == nil {
-		t.Error("invalid event must not be journalled")
+	store := NewStore()
+	st, err := ReplayJournal(strings.NewReader(jsonlJournal(t, Event{})), store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if j.Len() != 0 {
-		t.Error("invalid event counted")
+	if st.Replayed != 0 || st.Skipped != 1 || store.Len() != 0 {
+		t.Errorf("invalid event replayed: %+v, store %d", st, store.Len())
 	}
 }
 
 func TestReplayTolerantOfCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	mustSubmit(t, j, ev("a", "c1", "", EventServed))
-	mustSubmit(t, j, ev("b", "c1", "", EventServed))
-	j.Flush()
+	lines := strings.SplitAfter(jsonlJournal(t,
+		ev("a", "c1", "", EventServed),
+		ev("b", "c1", "", EventServed),
+	), "\n")
 	// Simulate a torn tail write plus garbage in the middle.
-	content := buf.String()
-	lines := strings.SplitAfter(content, "\n")
 	corrupted := lines[0] + "NOT JSON AT ALL\n" + `{"type":"bogus"}` + "\n" + lines[1][:len(lines[1])/2]
 	store := NewStore()
 	st, err := ReplayJournal(strings.NewReader(corrupted), store)
@@ -91,40 +92,34 @@ func TestReplayEmptyAndBlankLines(t *testing.T) {
 }
 
 func TestJournalFileAndRestartFlow(t *testing.T) {
-	// Full durability flow: journal to a file, "crash", replay into a
-	// fresh store, append more, replay everything (idempotently).
+	// An old journal file on disk replays into a fresh store, and
+	// replaying it again is harmless (idempotent ingestion).
 	path := filepath.Join(t.TempDir(), "beacons.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
+	journal := jsonlJournal(t, ev("a", "c1", "", EventServed), ev("a", "c1", SourceQTag, EventLoaded))
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j := NewJournal(f)
-	store := NewStore()
-	sink := Tee(store, j)
-	mustSubmit(t, sink, ev("a", "c1", "", EventServed))
-	mustSubmit(t, sink, ev("a", "c1", SourceQTag, EventLoaded))
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	replay := func(store *Store) ReplayStats {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		st, err := ReplayJournal(f, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-
-	// Restart: rebuild the store from disk.
-	f2, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
 	restored := NewStore()
-	st, err := ReplayJournal(f2, restored)
-	if err != nil || st.Replayed != 2 {
-		t.Fatalf("replay: %+v, %v", st, err)
+	if st := replay(restored); st.Replayed != 2 {
+		t.Fatalf("replay: %+v", st)
 	}
 	if restored.Served("c1") != 1 || restored.Loaded("c1", SourceQTag) != 1 {
 		t.Error("restored store wrong")
 	}
-	// Replaying again is harmless.
-	f3, _ := os.Open(path)
-	defer f3.Close()
-	ReplayJournal(f3, restored)
+	replay(restored)
 	if restored.Len() != 2 {
 		t.Errorf("idempotent replay broke: %d events", restored.Len())
 	}

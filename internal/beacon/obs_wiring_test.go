@@ -1,7 +1,6 @@
 package beacon
 
 import (
-	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -18,89 +17,12 @@ func mkEvent(id string) Event {
 	return Event{ImpressionID: id, CampaignID: "c1", Type: EventServed, At: obsEpoch.Add(time.Second)}
 }
 
-func TestJournalSubmitBatch(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	if err := j.SubmitBatch([]Event{mkEvent("i1"), mkEvent("i2")}); err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 2 || j.Pending() != 2 {
-		t.Fatalf("Len=%d Pending=%d, want 2/2", j.Len(), j.Pending())
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Pending() != 0 {
-		t.Fatalf("Pending after flush = %d, want 0", j.Pending())
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 2 {
-		t.Fatalf("journal holds %d lines, want 2", got)
-	}
-	// Replay round-trip: both events land in a store.
-	store := NewStore()
-	if _, err := ReplayJournal(&buf, store); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 2 {
-		t.Fatalf("replayed %d events, want 2", store.Len())
-	}
-	// An invalid event rejects the whole batch before any write.
-	if err := j.SubmitBatch([]Event{{CampaignID: "c1", Type: EventServed}}); err == nil {
-		t.Fatal("invalid batch accepted")
-	}
-	if j.Len() != 2 {
-		t.Fatalf("invalid batch must not write: Len=%d", j.Len())
-	}
-}
-
-func TestJournalRegisterMetrics(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	reg := obs.NewRegistry()
-	j.RegisterMetrics(reg)
-	if err := j.Submit(mkEvent("i1")); err != nil {
-		t.Fatal(err)
-	}
-	v := reg.Values()
-	if v["qtag_journal_events"] != 1 || v["qtag_journal_pending"] != 1 {
-		t.Fatalf("journal gauges = %v", v)
-	}
-	j.Flush()
-	if got := reg.Values()["qtag_journal_pending"]; got != 0 {
-		t.Fatalf("pending after flush = %g, want 0", got)
-	}
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDiscardSink(t *testing.T) {
 	if err := Discard.Submit(mkEvent("i1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := Discard.SubmitBatch([]Event{mkEvent("i1"), mkEvent("i2")}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOverloadGuardRegisterMetrics(t *testing.T) {
-	overloaded := true
-	guard := NewOverloadGuard(NewServer(NewStore()), func() bool { return overloaded }, time.Second)
-	reg := obs.NewRegistry()
-	guard.RegisterMetrics(reg)
-
-	srv := httptest.NewServer(guard)
-	defer srv.Close()
-	resp, err := srv.Client().Post(srv.URL+"/v1/events", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("status = %d, want 503 while overloaded", resp.StatusCode)
-	}
-	if got := reg.Values()["qtag_shed_total"]; got != 1 {
-		t.Fatalf("qtag_shed_total = %g, want 1", got)
 	}
 }
 

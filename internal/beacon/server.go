@@ -99,7 +99,7 @@ func NewServerWithSink(store *Store, sink Sink) *Server {
 }
 
 // Metrics returns the server's registry so callers can register the rest
-// of the pipeline (queue, breaker, journal, overload guard) for export
+// of the pipeline (queue, breaker, journal, admission) for export
 // on the same GET /metrics endpoint.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
@@ -149,7 +149,7 @@ func (s *Server) instrument(op string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // AddHealthMetric registers an extra delivery-health gauge reported in
-// the /healthz payload (e.g. overload-guard shed count, journal backlog).
+// the /healthz payload (e.g. admission shed count, journal backlog).
 // Stress harnesses assert on these to verify graceful degradation.
 //
 // AddHealthMetric is safe to call concurrently and after the server has

@@ -101,21 +101,6 @@ func (s *Store) Shards() int { return len(s.shards) }
 // back into the store.
 func (s *Store) AddObserver(fn func(Event)) { s.observers = append(s.observers, fn) }
 
-// SetObserver installs fn as the sole first-seen observer — the
-// pre-fan-out API, kept as a compatibility wrapper. Its historical
-// replace semantics would silently disconnect whatever is already
-// wired (the aggregator, the fraud detector), so a call on a store
-// that has observers panics: a straggler SetObserver after -detect
-// wiring is a bug, not a request.
-//
-// Deprecated: use AddObserver, which composes instead of replacing.
-func (s *Store) SetObserver(fn func(Event)) {
-	if len(s.observers) > 0 {
-		panic("beacon: SetObserver would discard registered observers; use AddObserver")
-	}
-	s.observers = []func(Event){fn}
-}
-
 // AddDupObserver appends a duplicate-submission hook: fn is called,
 // under the event's shard lock, every time a valid submission is
 // absorbed as a duplicate of an already-stored event. First-seen

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 // The acceptance suite for cluster mode: deterministic whole-node kill
 // and partition sweeps over a real 3-node in-process cluster (real
@@ -10,27 +10,35 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/cluster"
+	"qtag/internal/cluster/clustertest"
+	"qtag/internal/collector"
 )
 
 // fastHarness starts a 3-node cluster tuned for sub-second failover.
-func fastHarness(t *testing.T) *Harness {
+func fastHarness(t *testing.T) *clustertest.Harness {
 	t.Helper()
-	h, err := StartHarness(HarnessConfig{
-		Dir:              t.TempDir(),
-		Nodes:            3,
-		ProbeEvery:       20 * time.Millisecond,
-		ProbeTimeout:     250 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        2,
-		ForwardTimeout:   500 * time.Millisecond,
-		ForwardRetries:   1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
+	h, err := clustertest.StartHarness(clustertest.HarnessConfig{
+		Dir:   t.TempDir(),
+		Nodes: 3,
+		Collector: collector.Config{Cluster: &cluster.Config{
+			ProbeEvery:       20 * time.Millisecond,
+			ProbeTimeout:     250 * time.Millisecond,
+			SuspectAfter:     1,
+			DeadAfter:        2,
+			ForwardTimeout:   500 * time.Millisecond,
+			ForwardRetries:   1,
+			BreakerThreshold: 3,
+			BreakerCooldown:  50 * time.Millisecond,
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +61,7 @@ func sweepEvents(i int) []beacon.Event {
 // sendAcked submits events round-robin across the currently live nodes
 // and records which were acked (HTTP 200 end-to-end). Unacked events
 // are allowed to be lost; acked ones are not.
-func sendAcked(t *testing.T, h *Harness, from, to int, acked map[string]bool) {
+func sendAcked(t *testing.T, h *clustertest.Harness, from, to int, acked map[string]bool) {
 	t.Helper()
 	urls := h.LiveURLs()
 	if len(urls) == 0 {
@@ -74,12 +82,12 @@ func sendAcked(t *testing.T, h *Harness, from, to int, acked map[string]bool) {
 }
 
 // waitState polls until observer's detector sees peer in want.
-func waitState(t *testing.T, h *Harness, observer int, peer string, want PeerState) {
+func waitState(t *testing.T, h *clustertest.Harness, observer int, peer string, want cluster.PeerState) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		hn := h.Nodes[observer]
-		if hn.alive && hn.Node.Detector().State(peer) == want {
+		if hn.Alive() && hn.Node.Detector().State(peer) == want {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -108,7 +116,7 @@ func TestClusterKillSweepNoLossNoDuplicates(t *testing.T) {
 		// Wait until a survivor marks the victim dead so its share of
 		// the traffic below definitively exercises the hint path.
 		observer := (victim + 1) % 3
-		waitState(t, h, observer, fmt.Sprintf("n%d", victim), PeerDead)
+		waitState(t, h, observer, fmt.Sprintf("n%d", victim), cluster.PeerDead)
 
 		sendAcked(t, h, offset, offset+batch, acked)
 		offset += batch
@@ -116,7 +124,7 @@ func TestClusterKillSweepNoLossNoDuplicates(t *testing.T) {
 		if err := h.Restart(victim); err != nil {
 			t.Fatalf("restart n%d: %v", victim, err)
 		}
-		waitState(t, h, observer, fmt.Sprintf("n%d", victim), PeerAlive)
+		waitState(t, h, observer, fmt.Sprintf("n%d", victim), cluster.PeerAlive)
 	}
 
 	// Let every hint drain, then check the invariant.
@@ -161,7 +169,7 @@ func TestClusterPartitionHealsAndDrains(t *testing.T) {
 	// Cut n0 ↔ n2 both ways. n0 can still serve ingest; its n2-owned
 	// share must degrade to hints instead of erroring.
 	h.Net.CutBoth("n0", "n2")
-	waitState(t, h, 0, "n2", PeerDead)
+	waitState(t, h, 0, "n2", cluster.PeerDead)
 
 	acked := make(map[string]bool)
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 2, Timeout: 2 * time.Second}
@@ -205,13 +213,13 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 	acked := make(map[string]bool)
 	sendAcked(t, h, 0, 120, acked)
 
-	fetch := func(url string) (FederatedReport, int) {
+	fetch := func(url string) (cluster.FederatedReport, int) {
 		resp, err := http.Get(url + "/report?federated=1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var rep FederatedReport
+		var rep cluster.FederatedReport
 		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 			t.Fatal(err)
 		}
@@ -261,15 +269,17 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 }
 
 func TestClusterReadinessReflectsHintBacklog(t *testing.T) {
-	h, err := StartHarness(HarnessConfig{
-		Dir:              t.TempDir(),
-		Nodes:            2,
-		ProbeEvery:       20 * time.Millisecond,
-		ProbeTimeout:     200 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        2,
-		ForwardTimeout:   300 * time.Millisecond,
-		ReadyHintBacklog: 5,
+	h, err := clustertest.StartHarness(clustertest.HarnessConfig{
+		Dir:   t.TempDir(),
+		Nodes: 2,
+		Collector: collector.Config{Cluster: &cluster.Config{
+			ProbeEvery:       20 * time.Millisecond,
+			ProbeTimeout:     200 * time.Millisecond,
+			SuspectAfter:     1,
+			DeadAfter:        2,
+			ForwardTimeout:   300 * time.Millisecond,
+			ReadyHintBacklog: 5,
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +301,7 @@ func TestClusterReadinessReflectsHintBacklog(t *testing.T) {
 	// Partition n1 away and push enough n1-owned traffic through n0 to
 	// exceed the backlog threshold.
 	h.Net.CutBoth("n0", "n1")
-	waitState(t, h, 0, "n1", PeerDead)
+	waitState(t, h, 0, "n1", cluster.PeerDead)
 	ring := h.Nodes[0].Node.Ring()
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 1, Timeout: time.Second}
 	sent := 0
@@ -330,5 +340,50 @@ func TestClusterReadinessReflectsHintBacklog(t *testing.T) {
 	}
 	if got := readyz(); got != http.StatusOK {
 		t.Fatalf("readyz after drain = %d, want 200", got)
+	}
+}
+
+// TestClusterRestartOnOccupiedAddress: a restart that cannot bind its
+// address fails without opening anything — no goroutine outlives it,
+// and once the address frees up the node restarts from the same WAL
+// with every acked beacon.
+func TestClusterRestartOnOccupiedAddress(t *testing.T) {
+	h, err := clustertest.StartHarness(clustertest.HarnessConfig{Dir: t.TempDir(), Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	acked := make(map[string]bool)
+	sendAcked(t, h, 0, 20, acked)
+	http.DefaultClient.CloseIdleConnections()
+	if err := h.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let severed connections unwind
+	baseline := runtime.NumGoroutine()
+
+	ln, err := net.Listen("tcp", strings.TrimPrefix(h.Nodes[0].URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Restart(0); err == nil {
+		t.Fatal("restart succeeded on an occupied address")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the failed restart, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ln.Close()
+	if err := h.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	got := h.ClusterEvents()
+	for key := range acked {
+		if got[key] != 1 {
+			t.Fatalf("acked %s recovered %d times after restart, want 1", key, got[key])
+		}
 	}
 }

@@ -1,8 +1,12 @@
-package cluster
+// Package clustertest is the whole-cluster fault harness behind the
+// cluster, trace-propagation and overload chaos suites: N in-process
+// collectors built by collector.Build, on real sockets and real WALs,
+// joined by a partitionable network.
+package clustertest
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,11 +14,9 @@ import (
 	"sync"
 	"time"
 
-	"qtag/internal/admission"
-	"qtag/internal/aggregate"
-	"qtag/internal/beacon"
+	"qtag/internal/cluster"
+	"qtag/internal/collector"
 	"qtag/internal/faults"
-	"qtag/internal/obs"
 	"qtag/internal/wal"
 )
 
@@ -95,113 +97,64 @@ func (t partitionedTransport) RoundTrip(req *http.Request) (*http.Response, erro
 	return t.p.next.RoundTrip(req)
 }
 
-// HarnessConfig sizes a test cluster. Zero values pick fast-failover
-// settings suited to tests, not production.
+// HarnessConfig sizes a test cluster.
 type HarnessConfig struct {
 	// Nodes is the cluster size (default 3).
 	Nodes int
 	// Dir is the root scratch directory; each node gets Dir/<id>/wal and
 	// Dir/<id>/handoff. Required.
 	Dir string
-	// ProbeEvery / ProbeTimeout / SuspectAfter / DeadAfter tune
-	// failover speed (defaults 25ms / 250ms / 1 / 2).
-	ProbeEvery   time.Duration
-	ProbeTimeout time.Duration
-	SuspectAfter int
-	DeadAfter    int
-	// ForwardTimeout / ForwardRetries / BreakerThreshold /
-	// BreakerCooldown tune the forwarders (defaults 500ms / 1 / 3 /
-	// 100ms).
-	ForwardTimeout   time.Duration
-	ForwardRetries   int
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// ReadyHintBacklog passes through to each node's readiness check.
-	ReadyHintBacklog int64
 	// FaultTransport, when set, wraps each node's outbound transport
 	// BELOW the partitioner — the seam for faults.NewRoundTripper
 	// profiles (injected timeouts, 5xx bursts).
 	FaultTransport func(next http.RoundTripper) http.RoundTripper
-	// SpanStore, when set, enables distributed tracing on every node.
-	// The store is shared cluster-wide — the in-process stand-in for a
-	// central collector — so spans recorded by a node survive its Kill,
-	// and a trace that crosses nodes lands in one place for assertions.
-	SpanStore *obs.SpanStore
-	// TraceSample is the head sampling rate when SpanStore is set
-	// (default 1.0 — propagation tests want every trace).
-	TraceSample float64
-	// Admission gates every node's HTTP stack behind an adaptive
-	// admission controller — the same wiring qtag-server uses — so the
-	// overload sweeps exercise priority shedding and degraded-mode
-	// recovery on real sockets.
-	Admission bool
-	// AdmissionLimiter tunes each node's limiter when Admission is set;
-	// zero fields take the admission package defaults.
-	AdmissionLimiter admission.LimiterConfig
-	// AdmissionBacklog, when non-zero with Admission, is the
-	// journal-backlog hard backstop: fresh ingest sheds once a node's
-	// unsynced WAL backlog exceeds it, whatever the limiter thinks.
-	// Negative values trip it permanently (fault-injection tests).
-	AdmissionBacklog int64
-	// AdmissionRecoveryHold is how long a node must stay pressure-free
-	// before browned-out recovers (default per admission.Config).
-	AdmissionRecoveryHold time.Duration
-	// AdmissionRetryAfter is the Retry-After hint on shed responses
-	// (default per admission.Config). Forwarding origins honor it as
-	// their retry backoff, so a shedding peer's hint directly sets how
-	// long an admitted forward occupies its origin's admission slot —
-	// overload sweeps shrink it so forwards fail fast into handoff.
-	AdmissionRetryAfter time.Duration
+	// Collector is every node's stack. The harness fills in what
+	// differs per node — NodeID, WAL.Dir, and the cluster membership,
+	// handoff dir and transport — and always runs the cluster ack
+	// contract: DurableSync over a WAL with FsyncAlways. Zero
+	// Collector.Cluster tunables pick fast-failover settings suited to
+	// tests (probe 25ms, probe timeout 250ms, suspect 1, dead 2, forward
+	// timeout 500ms, 1 retry, breaker 3 failures / 100ms). A shared
+	// Trace.Store is the in-process stand-in for a central span
+	// collector: spans survive a node's Kill, and a trace that crosses
+	// nodes lands in one place (its SampleRate defaults to 1).
+	Collector collector.Config
 }
 
 func (c *HarnessConfig) defaults() error {
 	if c.Dir == "" {
-		return fmt.Errorf("cluster: harness needs a Dir")
+		return fmt.Errorf("clustertest: harness needs a Dir")
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 3
 	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 25 * time.Millisecond
+	cl := cluster.Config{}
+	if c.Collector.Cluster != nil {
+		cl = *c.Collector.Cluster
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 250 * time.Millisecond
+	cl.ProbeEvery = cmp.Or(cl.ProbeEvery, 25*time.Millisecond)
+	cl.ProbeTimeout = cmp.Or(cl.ProbeTimeout, 250*time.Millisecond)
+	cl.SuspectAfter = cmp.Or(cl.SuspectAfter, 1)
+	cl.DeadAfter = cmp.Or(cl.DeadAfter, 2)
+	cl.ForwardTimeout = cmp.Or(cl.ForwardTimeout, 500*time.Millisecond)
+	cl.ForwardRetries = cmp.Or(cl.ForwardRetries, 1)
+	cl.BreakerThreshold = cmp.Or(cl.BreakerThreshold, 3)
+	cl.BreakerCooldown = cmp.Or(cl.BreakerCooldown, 100*time.Millisecond)
+	c.Collector.Cluster = &cl
+	if c.Collector.Trace.Store != nil && c.Collector.Trace.SampleRate == 0 {
+		c.Collector.Trace.SampleRate = 1
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 2
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 500 * time.Millisecond
-	}
-	if c.ForwardRetries <= 0 {
-		c.ForwardRetries = 1
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 100 * time.Millisecond
-	}
-	if c.SpanStore != nil && c.TraceSample == 0 {
-		c.TraceSample = 1
-	}
+	c.Collector.WAL.Fsync = wal.FsyncAlways
+	c.Collector.DurableSync = true
 	return nil
 }
 
 // HarnessNode is one live (or killed) member of the harness cluster.
+// The embedded collector is nil while the node is killed.
 type HarnessNode struct {
+	*collector.Collector
 	ID  string
 	URL string
-
-	Store     *beacon.Store
-	Agg       *aggregate.Aggregator
-	Journal   *beacon.WALJournal
-	Node      *Node
-	Server    *beacon.Server
-	Admission *admission.Controller // nil unless HarnessConfig.Admission
 
 	addr    string // stable across restarts
 	walDir  string
@@ -233,6 +186,9 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
+			for _, l := range lns[:i] {
+				l.Close()
+			}
 			return nil, err
 		}
 		lns[i] = ln
@@ -251,6 +207,9 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	}
 	for i, hn := range h.Nodes {
 		if err := h.boot(hn, lns[i]); err != nil {
+			for _, l := range lns[i+1:] {
+				l.Close()
+			}
 			h.Close()
 			return nil, err
 		}
@@ -258,107 +217,34 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	return h, nil
 }
 
-// boot builds one node's full stack on an existing listener and starts
-// serving. It is the restart path too: state comes only from the
+// boot builds one node's collector and serves it on an existing
+// listener, which it closes if the build fails. It is the restart path too: state comes only from the
 // node's WAL and handoff directories.
 func (h *Harness) boot(hn *HarnessNode, ln net.Listener) error {
-	store := beacon.NewStoreWithShards(beacon.DefaultStoreShards)
-	agg := aggregate.New(aggregate.Options{})
-	store.AddObserver(agg.Observe)
-	wj, _, err := beacon.OpenDurable(wal.Options{Dir: hn.walDir, Fsync: wal.FsyncAlways}, store)
-	if err != nil {
-		return fmt.Errorf("cluster: boot %s wal: %w", hn.ID, err)
-	}
-
-	peers := make(map[string]string, len(h.peers)-1)
+	cfg := h.cfg.Collector
+	cl := *cfg.Cluster
+	cl.Peers = make(map[string]string, len(h.peers)-1)
 	for id, url := range h.peers {
 		if id != hn.ID {
-			peers[id] = url
+			cl.Peers[id] = url
 		}
 	}
-	transport := http.RoundTripper(h.Net.Transport(hn.ID))
+	cl.HandoffDir = hn.hintDir
+	cl.Transport = h.Net.Transport(hn.ID)
 	if h.cfg.FaultTransport != nil {
-		transport = h.Net.TransportWith(hn.ID, h.cfg.FaultTransport)
+		cl.Transport = h.Net.TransportWith(hn.ID, h.cfg.FaultTransport)
 	}
-	var tracer *obs.Tracer
-	if h.cfg.SpanStore != nil {
-		tracer = obs.NewTracer(obs.TracerConfig{
-			Node:       hn.ID,
-			SampleRate: h.cfg.TraceSample,
-			Store:      h.cfg.SpanStore,
-		})
-	}
-	node, err := NewNode(Config{
-		Self:             hn.ID,
-		Peers:            peers,
-		Local:            beacon.Tee(store, wj),
-		HandoffDir:       hn.hintDir,
-		ProbeEvery:       h.cfg.ProbeEvery,
-		ProbeTimeout:     h.cfg.ProbeTimeout,
-		SuspectAfter:     h.cfg.SuspectAfter,
-		DeadAfter:        h.cfg.DeadAfter,
-		ForwardTimeout:   h.cfg.ForwardTimeout,
-		ForwardRetries:   h.cfg.ForwardRetries,
-		BreakerThreshold: h.cfg.BreakerThreshold,
-		BreakerCooldown:  h.cfg.BreakerCooldown,
-		ReadyHintBacklog: h.cfg.ReadyHintBacklog,
-		Tracer:           tracer,
-		Transport:        transport,
-	})
+	cfg.NodeID, cfg.Cluster, cfg.WAL.Dir = hn.ID, &cl, hn.walDir
+	c, err := collector.Build(cfg)
 	if err != nil {
-		wj.Close()
-		return fmt.Errorf("cluster: boot %s node: %w", hn.ID, err)
+		ln.Close()
+		return fmt.Errorf("clustertest: boot %s: %w", hn.ID, err)
 	}
-
-	srv := beacon.NewServerWithSink(store, node)
-	srv.SetReadiness(node.Readiness())
-	srv.SetTracer(tracer)
-	srv.Mount("GET /report", FederatedHandler(agg, FederationConfig{
-		Self:      hn.ID,
-		Peers:     peers,
-		Transport: transport,
-		Tracer:    tracer,
-	}))
-	node.RegisterMetrics(srv.Metrics())
-
-	handler := http.Handler(srv)
-	if h.cfg.Admission {
-		acfg := admission.Config{
-			Limiter:      h.cfg.AdmissionLimiter,
-			RecoveryHold: h.cfg.AdmissionRecoveryHold,
-			RetryAfter:   h.cfg.AdmissionRetryAfter,
-		}
-		if h.cfg.AdmissionBacklog != 0 {
-			limit := h.cfg.AdmissionBacklog
-			acfg.Backstop = func() bool { return int64(wj.Pending()) > limit }
-		}
-		ctrl := admission.NewController(acfg)
-		ctrl.RegisterMetrics(srv.Metrics())
-		// /readyz reflects both hint backlog and admission mode: a
-		// browned-out or read-only node tells the balancer to route away.
-		nodeReady := node.Readiness()
-		srv.SetReadiness(func() error {
-			if err := nodeReady(); err != nil {
-				return err
-			}
-			if !ctrl.Ready() {
-				return fmt.Errorf("admission: node is %s", ctrl.Mode())
-			}
-			return nil
-		})
-		handler = ctrl.Middleware(srv)
-		hn.Admission = ctrl
-	}
-
-	hn.Store, hn.Agg, hn.Journal, hn.Node, hn.Server = store, agg, wj, node, srv
-	hn.httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	c.Start()
+	hn.Collector = c
+	hn.httpSrv = &http.Server{Handler: c.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	hn.alive = true
-	node.Start()
-	go func() {
-		if serr := hn.httpSrv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			_ = serr // listener closed by Kill/Close
-		}
-	}()
+	go func() { _ = hn.httpSrv.Serve(ln) }() // ends when Kill/Close closes the listener
 	return nil
 }
 
@@ -370,11 +256,11 @@ func (p *Partitioner) TransportWith(nodeID string, wrap func(http.RoundTripper) 
 }
 
 // Kill abruptly stops node i: the listener closes mid-flight (clients
-// see connection errors — those submissions were never acked), the
-// probe loop and drains stop, and the WAL/hint files are released so
-// Restart can reopen them. Nothing is flushed beyond what FsyncAlways
-// already made durable — exactly a process kill from the disk's point
-// of view.
+// see connection errors — those submissions were never acked), then the
+// collector closes: probe loop and drains stop, and the WAL and hint
+// files are released so Restart can reopen them. Nothing is flushed
+// beyond what FsyncAlways already made durable — exactly a process kill
+// from the disk's point of view.
 func (h *Harness) Kill(i int) error {
 	hn := h.Nodes[i]
 	if !hn.alive {
@@ -383,9 +269,10 @@ func (h *Harness) Kill(i int) error {
 	hn.alive = false
 	// Close (not Shutdown): in-flight requests are severed, not drained.
 	hn.httpSrv.Close()
-	hn.Node.Close()
-	err := hn.Journal.Close()
-	hn.Store, hn.Agg, hn.Journal, hn.Node, hn.Server, hn.Admission = nil, nil, nil, nil, nil, nil
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := hn.Collector.Close(ctx)
+	hn.Collector = nil
 	return err
 }
 
@@ -398,7 +285,7 @@ func (h *Harness) Restart(i int) error {
 	}
 	ln, err := net.Listen("tcp", hn.addr)
 	if err != nil {
-		return fmt.Errorf("cluster: rebind %s on %s: %w", hn.ID, hn.addr, err)
+		return fmt.Errorf("clustertest: rebind %s on %s: %w", hn.ID, hn.addr, err)
 	}
 	return h.boot(hn, ln)
 }
@@ -435,7 +322,7 @@ func (h *Harness) WaitDrained(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("cluster: hints not drained: %d pending: %w", h.TotalPendingHints(), ctx.Err())
+			return fmt.Errorf("clustertest: hints not drained: %d pending: %w", h.TotalPendingHints(), ctx.Err())
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -448,7 +335,7 @@ func (h *Harness) WaitDrained(ctx context.Context) error {
 func (h *Harness) ClusterEvents() map[string]int {
 	out := make(map[string]int)
 	for _, hn := range h.Nodes {
-		if !hn.alive || hn.Store == nil {
+		if !hn.alive {
 			continue
 		}
 		for _, e := range hn.Store.Events() {

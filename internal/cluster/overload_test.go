@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 // The overload acceptance suite (make overload-chaos): a 3-node cluster
 // with admission control enabled takes a 10× load ramp concurrent with
@@ -19,42 +19,51 @@ import (
 
 	"qtag/internal/admission"
 	"qtag/internal/beacon"
+	"qtag/internal/cluster"
+	"qtag/internal/cluster/clustertest"
+	"qtag/internal/collector"
 )
 
 // overloadHarness is fastHarness plus admission control tuned so a
 // burst of in-process workers actually trips the limiter: a small
 // ceiling, and a short recovery hold so the post-storm readiness
 // assertion doesn't dominate the test's runtime.
-func overloadHarness(t *testing.T) *Harness {
+func overloadHarness(t *testing.T) *clustertest.Harness {
 	t.Helper()
-	h, err := StartHarness(HarnessConfig{
-		Dir:              t.TempDir(),
-		Nodes:            3,
-		ProbeEvery:       20 * time.Millisecond,
-		ProbeTimeout:     250 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        2,
-		ForwardTimeout:   500 * time.Millisecond,
-		ForwardRetries:   1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-		Admission:        true,
-		// MinLimit is the goodput floor: under a sustained ramp the
-		// gradient drives the limit down toward it (cross-node forwards
-		// inherit their peers' queuing latency, so the signal saturates),
-		// and the floor is what keeps "degrade" from becoming "collapse".
-		AdmissionLimiter: admission.LimiterConfig{
-			MinLimit:     8,
-			MaxLimit:     64,
-			InitialLimit: 16,
+	h, err := clustertest.StartHarness(clustertest.HarnessConfig{
+		Dir:   t.TempDir(),
+		Nodes: 3,
+		Collector: collector.Config{
+			Cluster: &cluster.Config{
+				ProbeEvery:       20 * time.Millisecond,
+				ProbeTimeout:     250 * time.Millisecond,
+				SuspectAfter:     1,
+				DeadAfter:        2,
+				ForwardTimeout:   500 * time.Millisecond,
+				ForwardRetries:   1,
+				BreakerThreshold: 3,
+				BreakerCooldown:  50 * time.Millisecond,
+			},
+			Admission: &admission.Config{
+				// MinLimit is the goodput floor: under a sustained ramp the
+				// gradient drives the limit down toward it (cross-node
+				// forwards inherit their peers' queuing latency, so the
+				// signal saturates), and the floor is what keeps "degrade"
+				// from becoming "collapse".
+				Limiter: admission.LimiterConfig{
+					MinLimit:     8,
+					MaxLimit:     64,
+					InitialLimit: 16,
+				},
+				RecoveryHold: 300 * time.Millisecond,
+				// A shedding peer's Retry-After is the origin's
+				// forward-retry backoff, i.e. how long an admitted forward
+				// squats on its origin's admission slot before failing over
+				// to hinted handoff. Keep it short so overload degrades to
+				// shed-and-hint instead of slot starvation.
+				RetryAfter: 25 * time.Millisecond,
+			},
 		},
-		AdmissionRecoveryHold: 300 * time.Millisecond,
-		// A shedding peer's Retry-After is the origin's forward-retry
-		// backoff, i.e. how long an admitted forward squats on its
-		// origin's admission slot before failing over to hinted handoff.
-		// Keep it short so overload degrades to shed-and-hint instead of
-		// slot starvation.
-		AdmissionRetryAfter: 25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +88,7 @@ func (s *ackedSet) add(key string) {
 // concurrent senders for d, round-robin across nodes, and returns
 // (acked, shed) counts. Acked keys land in set. No retries: a 503 is a
 // shed, and the test's loss invariant only covers acked events.
-func runLivePhase(t *testing.T, h *Harness, prefix string, workers int, d time.Duration, set *ackedSet) (acked, shed int64) {
+func runLivePhase(t *testing.T, h *clustertest.Harness, prefix string, workers int, d time.Duration, set *ackedSet) (acked, shed int64) {
 	t.Helper()
 	urls := h.LiveURLs()
 	var ackedN, shedN atomic.Int64
@@ -158,7 +167,7 @@ func TestOverloadRampSurvivesWithPriorityShedding(t *testing.T) {
 	// Phase 2 — seed the drain storm: partition n0 ↔ n2 and push
 	// n2-owned traffic through n0 so hints pile up for replay at heal.
 	h.Net.CutBoth("n0", "n2")
-	waitState(t, h, 0, "n2", PeerDead)
+	waitState(t, h, 0, "n2", cluster.PeerDead)
 	ring := h.Nodes[0].Node.Ring()
 	seedSink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 2, Timeout: 2 * time.Second}
 	hinted := 0
@@ -289,7 +298,7 @@ func TestOverloadDrainReplaysArriveMarked(t *testing.T) {
 	h := overloadHarness(t)
 
 	h.Net.CutBoth("n0", "n2")
-	waitState(t, h, 0, "n2", PeerDead)
+	waitState(t, h, 0, "n2", cluster.PeerDead)
 	ring := h.Nodes[0].Node.Ring()
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 2, Timeout: 2 * time.Second}
 	sent := 0
@@ -328,19 +337,20 @@ func TestOverloadDrainReplaysArriveMarked(t *testing.T) {
 // low backlog ceiling, live ingest sheds 503 even though the limiter
 // itself has spare capacity, and /readyz reports the brown-out.
 func TestOverloadBackstopProtectsCluster(t *testing.T) {
-	h, err := StartHarness(HarnessConfig{
-		Dir:                   t.TempDir(),
-		Nodes:                 1,
-		Admission:             true,
-		AdmissionBacklog:      -1, // any pending count trips it — but see below
-		AdmissionRecoveryHold: 200 * time.Millisecond,
+	h, err := clustertest.StartHarness(clustertest.HarnessConfig{
+		Dir:   t.TempDir(),
+		Nodes: 1,
+		Collector: collector.Config{
+			Admission:   &admission.Config{RecoveryHold: 200 * time.Millisecond},
+			ShedPending: -1, // any pending count trips it — but see below
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 
-	// Backlog is compared with > : with the threshold at -1 every
+	// Backlog is compared with >= : with the threshold at -1 every
 	// request sheds, modelling a journal that cannot keep up at all.
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 0, Timeout: time.Second}
 	err = sink.Submit(beacon.Event{ImpressionID: "bs-1", CampaignID: "c1",

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 // Trace-propagation-under-faults suite: every beacon a client roots a
 // trace for must land in the shared span store as ONE connected tree —
@@ -20,6 +20,9 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/cluster"
+	"qtag/internal/cluster/clustertest"
+	"qtag/internal/collector"
 	"qtag/internal/faults"
 	"qtag/internal/obs"
 	"qtag/internal/simrand"
@@ -27,27 +30,30 @@ import (
 
 // traceHarness starts a 3-node cluster with tracing at sample rate 1
 // feeding one shared span store.
-func traceHarness(t *testing.T, mut func(*HarnessConfig)) (*Harness, *obs.SpanStore) {
+func traceHarness(t *testing.T, mut func(*clustertest.HarnessConfig)) (*clustertest.Harness, *obs.SpanStore) {
 	t.Helper()
 	store := obs.NewSpanStore(1 << 16)
-	cfg := HarnessConfig{
-		Dir:              t.TempDir(),
-		Nodes:            3,
-		ProbeEvery:       20 * time.Millisecond,
-		ProbeTimeout:     250 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        2,
-		ForwardTimeout:   500 * time.Millisecond,
-		ForwardRetries:   1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-		SpanStore:        store,
-		TraceSample:      1,
+	cfg := clustertest.HarnessConfig{
+		Dir:   t.TempDir(),
+		Nodes: 3,
+		Collector: collector.Config{
+			Cluster: &cluster.Config{
+				ProbeEvery:       20 * time.Millisecond,
+				ProbeTimeout:     250 * time.Millisecond,
+				SuspectAfter:     1,
+				DeadAfter:        2,
+				ForwardTimeout:   500 * time.Millisecond,
+				ForwardRetries:   1,
+				BreakerThreshold: 3,
+				BreakerCooldown:  50 * time.Millisecond,
+			},
+			Trace: obs.TracerConfig{SampleRate: 1, Store: store},
+		},
 	}
 	if mut != nil {
 		mut(&cfg)
 	}
-	h, err := StartHarness(cfg)
+	h, err := clustertest.StartHarness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +71,7 @@ func clientTracer(store *obs.SpanStore) *obs.Tracer {
 // the live nodes, each batch under a fresh client-rooted trace, and
 // records acked batches as traceID -> label. Unacked batches may leave
 // partial traces; only acked ones carry the connectivity guarantee.
-func sendTraced(t *testing.T, h *Harness, ct *obs.Tracer, from, to int, acked map[string]string) {
+func sendTraced(t *testing.T, h *clustertest.Harness, ct *obs.Tracer, from, to int, acked map[string]string) {
 	t.Helper()
 	urls := h.LiveURLs()
 	if len(urls) == 0 {
@@ -193,8 +199,8 @@ func TestTracePropagationUnderRetryStorm(t *testing.T) {
 	// slice of traffic degrades to hint-then-drain — all while the
 	// client-facing ingest stays clean. Every acked trace must still be
 	// one connected tree.
-	h, store := traceHarness(t, func(c *HarnessConfig) {
-		c.ForwardRetries = 3
+	h, store := traceHarness(t, func(c *clustertest.HarnessConfig) {
+		c.Collector.Cluster.ForwardRetries = 3
 		c.FaultTransport = func(next http.RoundTripper) http.RoundTripper {
 			rt := faults.NewRoundTripper(next, simrand.New(1109).Fork("trace-storm"), faults.Profile{
 				Error:   0.25,
@@ -238,14 +244,14 @@ func TestTracePropagationHandoffThenDrain(t *testing.T) {
 	if err := h.Kill(2); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, h, 0, "n2", PeerDead)
+	waitState(t, h, 0, "n2", cluster.PeerDead)
 
 	sendTraced(t, h, ct, 0, 60, acked)
 
 	if err := h.Restart(2); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, h, 0, "n2", PeerAlive)
+	waitState(t, h, 0, "n2", cluster.PeerAlive)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -295,7 +301,7 @@ func TestTracePropagationAcrossRestarts(t *testing.T) {
 			t.Fatalf("kill n%d: %v", victim, err)
 		}
 		observer := (victim + 1) % 3
-		waitState(t, h, observer, fmt.Sprintf("n%d", victim), PeerDead)
+		waitState(t, h, observer, fmt.Sprintf("n%d", victim), cluster.PeerDead)
 
 		sendTraced(t, h, ct, offset, offset+batch, acked)
 		offset += batch
@@ -303,7 +309,7 @@ func TestTracePropagationAcrossRestarts(t *testing.T) {
 		if err := h.Restart(victim); err != nil {
 			t.Fatalf("restart n%d: %v", victim, err)
 		}
-		waitState(t, h, observer, fmt.Sprintf("n%d", victim), PeerAlive)
+		waitState(t, h, observer, fmt.Sprintf("n%d", victim), cluster.PeerAlive)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

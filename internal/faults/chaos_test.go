@@ -3,6 +3,7 @@ package faults_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -155,35 +156,35 @@ func TestChaosPipelineOverflowAccounting(t *testing.T) {
 }
 
 // TestReplayJournalTornWrites reproduces the crash-durability scenario:
-// a journal written through a TornWriter (writes silently truncated, the
-// way a dying process tears its final flushes) must still replay, with
-// the corrupt lines counted as skipped, and a double replay must be
-// idempotent.
+// a JSONL journal written through a TornWriter (writes silently
+// truncated, the way a dying process tears its final flushes) must
+// still replay, with the corrupt lines counted as skipped, and a double
+// replay must be idempotent.
 func TestReplayJournalTornWrites(t *testing.T) {
 	const total = 400
 
 	var file bytes.Buffer
 	torn := faults.NewTornWriter(&file, simrand.New(9), 0.5)
-	journal := beacon.NewJournal(torn)
+	// Write the journal 25 lines at a time, the way a buffered journal
+	// writer flushes, so many Writes (and therefore tears) happen.
+	var chunk []byte
 	for i := 0; i < total; i++ {
-		err := journal.Submit(beacon.Event{
+		line, err := json.Marshal(beacon.Event{
 			ImpressionID: itoa(i),
 			CampaignID:   "torn",
 			Source:       beacon.SourceQTag,
 			Type:         beacon.EventLoaded,
 		})
 		if err != nil {
-			t.Fatalf("journal submit %d: %v", i, err)
+			t.Fatal(err)
 		}
-		// Flush frequently so many Writes (and therefore tears) happen.
+		chunk = append(append(chunk, line...), '\n')
 		if i%25 == 24 {
-			if err := journal.Flush(); err != nil {
+			if _, err := torn.Write(chunk); err != nil {
 				t.Fatal(err)
 			}
+			chunk = chunk[:0]
 		}
-	}
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if torn.Tears() == 0 {
 		t.Fatal("no tears injected; test is vacuous")

@@ -5,7 +5,7 @@
 // simulation's virtual clock so traces are deterministic under test.
 //
 // Every delivery-pipeline component (beacon server, store-and-forward
-// queue, circuit breaker, HTTP sink, overload guard, journal) owns its
+// queue, circuit breaker, HTTP sink, WAL journal) owns its
 // instruments and registers them on a Registry via a RegisterMetrics
 // method; binaries expose the registry as GET /metrics (qtag-server) or
 // as an end-of-run dump (qtag-sim). /healthz remains a thin JSON view

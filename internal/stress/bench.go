@@ -12,6 +12,9 @@ import (
 
 	"qtag/internal/admission"
 	"qtag/internal/beacon"
+	"qtag/internal/cluster"
+	"qtag/internal/collector"
+	"qtag/internal/obs"
 	"qtag/internal/wal"
 )
 
@@ -199,38 +202,41 @@ func RunBenchLadder(opts BenchOptions) (BenchLadderReport, error) {
 		var best LoadReport
 		var bestAllocs float64
 		for r := 0; r < reps; r++ {
-			base := IngestServerConfig{
-				Shards:              c.shards,
-				WALDir:              filepath.Join(tmpRoot, fmt.Sprintf("wal-%d-%d", i, r)),
-				Fsync:               wal.FsyncAlways,
-				GroupCommit:         c.gc,
-				GroupCommitMaxBatch: opts.GroupCommitMaxBatch,
-				GroupCommitMaxWait:  opts.GroupCommitMaxWait,
-				SyncDurability:      true,
-				TraceSample:         c.trace,
+			base := collector.Config{
+				Shards: c.shards,
+				WAL: wal.Options{
+					Dir:                 filepath.Join(tmpRoot, fmt.Sprintf("wal-%d-%d", i, r)),
+					Fsync:               wal.FsyncAlways,
+					GroupCommit:         c.gc,
+					GroupCommitMaxBatch: opts.GroupCommitMaxBatch,
+					GroupCommitMaxWait:  opts.GroupCommitMaxWait,
+				},
+				DurableSync: true,
+				Trace:       obs.TracerConfig{SampleRate: c.trace},
 			}
 			if c.overload {
-				base.Admission = true
 				// Pin the ceiling at the standard worker count so the 10×
 				// ramp below is guaranteed past the knee.
-				base.AdmissionLimiter = admission.LimiterConfig{
+				base.Admission = &admission.Config{Limiter: admission.LimiterConfig{
 					MinLimit:     o.Workers / 2,
 					MaxLimit:     o.Workers,
 					InitialLimit: o.Workers,
-				}
+				}}
 			}
 			var peer *IngestServer
 			if c.forwarding {
 				peerCfg := base
-				peerCfg.WALDir = filepath.Join(tmpRoot, fmt.Sprintf("wal-%d-%d-peer", i, r))
+				peerCfg.WAL.Dir = filepath.Join(tmpRoot, fmt.Sprintf("wal-%d-%d-peer", i, r))
 				p, err := StartIngestServer(peerCfg)
 				if err != nil {
 					return rep, err
 				}
 				peer = p
-				base.ClusterSelf = "bench-a"
-				base.ClusterPeers = map[string]string{"bench-b": peer.URL}
-				base.ClusterHandoffDir = filepath.Join(tmpRoot, fmt.Sprintf("hints-%d-%d", i, r))
+				base.NodeID = "bench-a"
+				base.Cluster = &cluster.Config{
+					Peers:      map[string]string{"bench-b": peer.URL},
+					HandoffDir: filepath.Join(tmpRoot, fmt.Sprintf("hints-%d-%d", i, r)),
+				}
 			}
 			srv, err := StartIngestServer(base)
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
+	"qtag/internal/collector"
 	"qtag/internal/detect"
 	"qtag/internal/faults"
 	"qtag/internal/obs"
@@ -47,7 +48,7 @@ type fraudScenario struct {
 // GET /report.
 func runFraudScenario(t *testing.T, sc fraudScenario) (labels map[string]bool, flagged map[string]bool, snap detect.Snapshot) {
 	t.Helper()
-	srv, err := StartIngestServer(IngestServerConfig{Shards: 4, Detect: true})
+	srv, err := StartIngestServer(collector.Config{Shards: 4, Detect: &detect.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +241,11 @@ func TestFraudChaos(t *testing.T) {
 	// state must survive the restart for the scores to come out equal.
 	cut := len(stream) / 2
 
-	durable := IngestServerConfig{
-		Shards:         4,
-		Fsync:          wal.FsyncAlways,
-		SyncDurability: true,
-		Detect:         true,
+	durable := collector.Config{
+		Shards:      4,
+		WAL:         wal.Options{Fsync: wal.FsyncAlways},
+		DurableSync: true,
+		Detect:      &detect.Options{},
 	}
 	submit := func(t *testing.T, url string, events []beacon.Event) {
 		t.Helper()
@@ -258,7 +259,7 @@ func TestFraudChaos(t *testing.T) {
 
 	// Control: one server, the whole stream, no interruption.
 	ctrlCfg := durable
-	ctrlCfg.WALDir = t.TempDir()
+	ctrlCfg.WAL.Dir = t.TempDir()
 	ctrl, err := StartIngestServer(ctrlCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestFraudChaos(t *testing.T) {
 	// fresh process recovers the WAL before the second half lands.
 	dir := t.TempDir()
 	chaosCfg := durable
-	chaosCfg.WALDir = dir
+	chaosCfg.WAL.Dir = dir
 	first, err := StartIngestServer(chaosCfg)
 	if err != nil {
 		t.Fatal(err)

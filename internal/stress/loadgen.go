@@ -13,15 +13,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qtag/internal/admission"
-	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
-	"qtag/internal/cluster"
-	"qtag/internal/detect"
-	"qtag/internal/obs"
-	"qtag/internal/report"
+	"qtag/internal/collector"
 	"qtag/internal/simrand"
-	"qtag/internal/wal"
 )
 
 // This file is the server-side counterpart of the tag stress harness:
@@ -286,243 +280,43 @@ func rawQuantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// IngestServerConfig describes an in-process collection server for load
-// runs: the sharded store, the WAL durability backend and the group
-// committer — the full qtag-server ingest stack minus flag parsing.
-type IngestServerConfig struct {
-	// Shards is the store shard count (power of two; default 16).
-	Shards int
-	// WALDir enables crash-safe durability; empty disables the WAL.
-	WALDir string
-	// Fsync is the WAL durability policy (wal.FsyncAlways for the
-	// benchmark contract).
-	Fsync wal.FsyncPolicy
-	// GroupCommit coalesces concurrent WAL appends into shared fsyncs.
-	GroupCommit bool
-	// GroupCommitMaxBatch caps records per group commit (default 256).
-	GroupCommitMaxBatch int
-	// GroupCommitMaxWait holds small groups open to grow them (default 0).
-	GroupCommitMaxWait time.Duration
-	// SyncDurability puts the WAL on the request path: a POST is acked
-	// only after its events are fsynced (Tee store+journal). When false
-	// the WAL drains asynchronously through a QueueSink, the qtag-server
-	// default.
-	SyncDurability bool
-	// ReportTTL is the aggregation layer's impression-state TTL (0 = the
-	// aggregate default, <0 disables eviction).
-	ReportTTL time.Duration
-	// ReportSweepEvery runs a background eviction sweep at this cadence
-	// (0 = no sweeper; call Aggregate.Sweep yourself).
-	ReportSweepEvery time.Duration
-	// ClusterSelf / ClusterPeers / ClusterHandoffDir layer a cluster
-	// router over the sink: events whose ring owner is a peer forward
-	// over HTTP instead of landing locally. Used by the forwarding rung
-	// of the benchmark ladder to price peer routing.
-	ClusterSelf       string
-	ClusterPeers      map[string]string
-	ClusterHandoffDir string
-	// ClusterBinary forwards peer-owned beacons (and hint-drain replays)
-	// with the binary codec instead of JSON.
-	ClusterBinary bool
-	// TraceSample > 0 enables distributed tracing on the ingest path at
-	// that head sampling rate — the tracing rungs of the benchmark
-	// ladder price its overhead at 1% and 100%.
-	TraceSample float64
-	// TraceBuffer is the span ring capacity (obs.DefaultSpanBuffer when
-	// zero).
-	TraceBuffer int
-	// Admission fronts the server with the adaptive admission controller
-	// (the qtag-server production wiring); drive it with
-	// LoadOptions.TolerateShed to measure goodput under overload.
-	Admission bool
-	// AdmissionLimiter tunes the controller when Admission is set; zero
-	// fields take the admission package defaults.
-	AdmissionLimiter admission.LimiterConfig
-	// Detect attaches the streaming fraud layer on both store hooks
-	// (first-seen + duplicate) and serves its scores on GET /report —
-	// the qtag-server -detect wiring. The detection harness and chaos
-	// suites run through exactly this path.
-	Detect bool
-	// DetectOptions tunes the detector when Detect is set; zero fields
-	// take the detect package defaults. The Sweep cadence piggybacks
-	// on ReportSweepEvery.
-	DetectOptions detect.Options
-}
-
-// IngestServer is a live in-process collection server.
+// IngestServer is a live in-process collection server: a collector
+// assembled by collector.Build — the same stack qtag-server ships —
+// serving on a loopback listener.
 type IngestServer struct {
-	URL       string
-	Store     *beacon.Store
-	Journal   *beacon.WALJournal
-	Server    *beacon.Server
-	Aggregate *aggregate.Aggregator
-	Detect    *detect.Detector      // non-nil when cfg.Detect
-	Spans     *obs.SpanStore        // non-nil when TraceSample > 0
-	Admission *admission.Controller // non-nil when cfg.Admission
+	*collector.Collector
+	URL string
 
-	httpSrv   *http.Server
-	queue     *beacon.QueueSink
-	node      *cluster.Node
-	stopSweep chan struct{}
+	httpSrv *http.Server
 }
 
-// StartIngestServer builds the configured ingest stack and serves it on
-// a loopback listener. Close releases everything.
-func StartIngestServer(cfg IngestServerConfig) (*IngestServer, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = beacon.DefaultStoreShards
-	}
-	store := beacon.NewStoreWithShards(cfg.Shards)
-	is := &IngestServer{Store: store}
-	// The aggregation observer attaches before any event can reach the
-	// store — including WAL replay below — so /report rebuilds with the
-	// store on boot, exactly as qtag-server wires it.
-	is.Aggregate = aggregate.New(aggregate.Options{Shards: cfg.Shards, TTL: cfg.ReportTTL})
-	store.AddObserver(is.Aggregate.Observe)
-	if cfg.Detect {
-		// Both detection hooks also attach before any event or WAL
-		// replay reaches the store, so fraud scores rebuild on boot
-		// alongside the aggregates.
-		opts := cfg.DetectOptions
-		if opts.Shards == 0 {
-			opts.Shards = cfg.Shards
-		}
-		is.Detect = detect.New(opts)
-		store.AddObserver(is.Detect.Observe)
-		store.AddDupObserver(is.Detect.ObserveDup)
-	}
-	var sink beacon.Sink = store
-	if cfg.WALDir != "" {
-		wj, _, err := beacon.OpenDurable(wal.Options{
-			Dir:                 cfg.WALDir,
-			Fsync:               cfg.Fsync,
-			GroupCommit:         cfg.GroupCommit,
-			GroupCommitMaxBatch: cfg.GroupCommitMaxBatch,
-			GroupCommitMaxWait:  cfg.GroupCommitMaxWait,
-		}, store)
-		if err != nil {
-			return nil, err
-		}
-		is.Journal = wj
-		if cfg.SyncDurability {
-			sink = beacon.Tee(store, wj)
-		} else {
-			is.queue = beacon.NewQueueSink(wj, beacon.QueueOptions{})
-			sink = beacon.Tee(store, is.queue)
-		}
-	}
-	var tracer *obs.Tracer
-	if cfg.TraceSample > 0 {
-		buf := cfg.TraceBuffer
-		if buf <= 0 {
-			buf = obs.DefaultSpanBuffer
-		}
-		name := cfg.ClusterSelf
-		if name == "" {
-			name = "bench"
-		}
-		is.Spans = obs.NewSpanStore(buf)
-		tracer = obs.NewTracer(obs.TracerConfig{
-			Node:       name,
-			SampleRate: cfg.TraceSample,
-			Store:      is.Spans,
-		})
-	}
-	if len(cfg.ClusterPeers) > 0 {
-		node, err := cluster.NewNode(cluster.Config{
-			Self:       cfg.ClusterSelf,
-			Peers:      cfg.ClusterPeers,
-			Local:      sink,
-			HandoffDir: cfg.ClusterHandoffDir,
-			Binary:     cfg.ClusterBinary,
-			Tracer:     tracer,
-		})
-		if err != nil {
-			if is.Journal != nil {
-				is.Journal.Close()
-			}
-			return nil, err
-		}
-		is.node = node
-		node.Start()
-		sink = node
-	}
-	is.Server = beacon.NewServerWithSink(store, sink)
-	if tracer != nil {
-		is.Server.SetTracer(tracer)
-	}
-	is.Server.Mount("GET /report", report.HandlerWithDetect(is.Aggregate, is.Detect, nil))
-	is.Aggregate.RegisterMetrics(is.Server.Metrics())
-	if is.Detect != nil {
-		is.Detect.RegisterMetrics(is.Server.Metrics())
-	}
-	if is.Journal != nil {
-		is.Journal.RegisterMetrics(is.Server.Metrics())
-	}
+// StartIngestServer binds a loopback listener, builds the configured
+// collector and serves it — qtag-server's bind, build, serve order.
+// Close releases everything.
+func StartIngestServer(cfg collector.Config) (*IngestServer, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		if is.Journal != nil {
-			is.Journal.Close()
-		}
 		return nil, err
 	}
-	if cfg.ReportSweepEvery > 0 {
-		is.stopSweep = make(chan struct{})
-		go func() {
-			ticker := time.NewTicker(cfg.ReportSweepEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-is.stopSweep:
-					return
-				case now := <-ticker.C:
-					is.Aggregate.Sweep(now)
-					if is.Detect != nil {
-						is.Detect.Sweep(now)
-					}
-				}
-			}
-		}()
+	c, err := collector.Build(cfg)
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
-	handler := http.Handler(is.Server)
-	if cfg.Admission {
-		is.Admission = admission.NewController(admission.Config{Limiter: cfg.AdmissionLimiter})
-		is.Admission.RegisterMetrics(is.Server.Metrics())
-		handler = is.Admission.Middleware(is.Server)
+	c.Start()
+	s := &IngestServer{
+		Collector: c,
+		URL:       "http://" + ln.Addr().String(),
+		httpSrv:   &http.Server{Handler: c.Handler(), ReadHeaderTimeout: 5 * time.Second},
 	}
-	is.URL = "http://" + ln.Addr().String()
-	is.httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	go func() {
-		if serr := is.httpSrv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			_ = serr // listener closed under us; Close reports what matters
-		}
-	}()
-	return is, nil
+	go func() { _ = s.httpSrv.Serve(ln) }()
+	return s, nil
 }
 
-// Close drains and shuts everything down: HTTP server, sweeper, queue,
-// WAL.
+// Close drains and shuts everything down: the HTTP server first, then
+// the collector.
 func (s *IngestServer) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err := s.httpSrv.Shutdown(ctx)
-	if s.node != nil {
-		if nerr := s.node.Close(); err == nil {
-			err = nerr
-		}
-	}
-	if s.stopSweep != nil {
-		close(s.stopSweep)
-	}
-	if s.queue != nil {
-		if qerr := s.queue.Close(ctx); err == nil {
-			err = qerr
-		}
-	}
-	if s.Journal != nil {
-		if jerr := s.Journal.Close(); err == nil {
-			err = jerr
-		}
-	}
-	return err
+	return errors.Join(s.httpSrv.Shutdown(ctx), s.Collector.Close(ctx))
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/collector"
 	"qtag/internal/wal"
 )
 
@@ -50,12 +51,10 @@ func TestRawQuantile(t *testing.T) {
 // and the store, the accepted counter, and a WAL replay all agree.
 func TestRunLoadAgainstIngestServer(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := StartIngestServer(IngestServerConfig{
-		Shards:         8,
-		WALDir:         dir,
-		Fsync:          wal.FsyncAlways,
-		GroupCommit:    true,
-		SyncDurability: true,
+	srv, err := StartIngestServer(collector.Config{
+		Shards:      8,
+		WAL:         wal.Options{Dir: dir, Fsync: wal.FsyncAlways, GroupCommit: true},
+		DurableSync: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +102,9 @@ func TestRunLoadAgainstIngestServer(t *testing.T) {
 // so nothing is lost.
 func TestRunLoadAsyncQueuePath(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := StartIngestServer(IngestServerConfig{
-		Shards:      4,
-		WALDir:      dir,
-		Fsync:       wal.FsyncOnBatch,
-		GroupCommit: true,
+	srv, err := StartIngestServer(collector.Config{
+		Shards: 4,
+		WAL:    wal.Options{Dir: dir, Fsync: wal.FsyncOnBatch, GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +131,7 @@ func TestRunLoadAsyncQueuePath(t *testing.T) {
 // TestStartIngestServerNoWAL: memory-only servers must work too (the
 // baseline the paper's §4 latency numbers are quoted against).
 func TestStartIngestServerNoWAL(t *testing.T) {
-	srv, err := StartIngestServer(IngestServerConfig{})
+	srv, err := StartIngestServer(collector.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

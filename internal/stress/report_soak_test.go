@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qtag/internal/aggregate"
+	"qtag/internal/collector"
 	"qtag/internal/report"
 	"qtag/internal/wal"
 )
@@ -48,12 +49,10 @@ func readReport(url string) error {
 // recompute over the raw store. Run under -race by make soak, this is
 // the read-side counterpart of the ingest soak.
 func TestReportSoakConcurrentReads(t *testing.T) {
-	srv, err := StartIngestServer(IngestServerConfig{
-		Shards:         8,
-		WALDir:         t.TempDir(),
-		Fsync:          wal.FsyncOnBatch,
-		GroupCommit:    true,
-		SyncDurability: true,
+	srv, err := StartIngestServer(collector.Config{
+		Shards:      8,
+		WAL:         wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncOnBatch, GroupCommit: true},
+		DurableSync: true,
 		// Default (15m) TTL: no eviction during the test, so the final
 		// snapshot must be byte-equal to the batch oracle.
 	})
@@ -138,10 +137,10 @@ func assertSnapshotsEqual(t *testing.T, got, want aggregate.Snapshot) {
 // zero once traffic stops — the memory bound GET /report depends on —
 // while the served report keeps satisfying the partition invariant.
 func TestReportSoakEvictionBoundsMemory(t *testing.T) {
-	srv, err := StartIngestServer(IngestServerConfig{
-		Shards:           4,
-		ReportTTL:        50 * time.Millisecond,
-		ReportSweepEvery: 10 * time.Millisecond,
+	srv, err := StartIngestServer(collector.Config{
+		Shards:     4,
+		Aggregate:  aggregate.Options{TTL: 50 * time.Millisecond},
+		SweepEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
