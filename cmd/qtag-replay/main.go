@@ -167,14 +167,8 @@ func main() {
 		served := store.Served(id)
 		ql := store.Loaded(id, beacon.SourceQTag)
 		qi := store.InView(id, beacon.SourceQTag)
-		m, v := 0.0, 0.0
-		if served > 0 {
-			m = float64(ql) / float64(served)
-		}
-		if ql > 0 {
-			v = float64(qi) / float64(ql)
-		}
-		rows = append(rows, []string{id, fmt.Sprint(served), report.Percent(m), report.Percent(v)})
+		rows = append(rows, []string{id, fmt.Sprint(served),
+			report.Percent(beacon.Rate(ql, served)), report.Percent(beacon.Rate(qi, ql))})
 	}
 	fmt.Print(report.Table([]string{"Campaign", "Served", "Q-Tag measured", "Q-Tag viewability"}, rows))
 

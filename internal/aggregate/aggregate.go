@@ -9,9 +9,10 @@
 // beacons, HTTP retries and overlapping WAL replays never reach it, and
 // rebuilding it from a WAL replay on boot reproduces exactly the state a
 // continuously-running process would hold. Every update is incremental —
-// serving a report never scans raw events — and per-impression working
-// state is evicted on a TTL so memory stays bounded under unbounded
-// traffic while the campaign counters keep their all-time totals.
+// serving a report never scans raw events — and the per-impression
+// state is internal/lifecycle's table, evicted on a TTL so memory stays
+// bounded under unbounded traffic while the campaign counters keep
+// their all-time totals.
 //
 // Classification per impression and source s (mirrors §6's definitions):
 //
@@ -32,32 +33,29 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/lifecycle"
 	"qtag/internal/obs"
 )
 
 // Options tunes an Aggregator. The zero value picks sensible defaults.
 type Options struct {
-	// Shards is the impression-state partition count, rounded up to a
-	// power of two (default 16, matching the beacon store).
+	// Shards is the lock-stripe count of the impression table and the
+	// campaign rows, rounded up to a power of two (default 16).
 	Shards int
-	// TTL evicts an impression's working state after this much arrival-
-	// clock idle time (default 15m; <0 disables eviction, 0 means the
-	// default). Campaign counters are never evicted — only the per-
-	// impression dedup/pairing state is. TTL must exceed the longest
-	// served→last-beacon gap or a late beacon re-opens the impression and
-	// counts it again.
+	// TTL evicts an impression's lifecycle state after this much
+	// arrival-clock idle time (see lifecycle.Options: default 15m, <0
+	// disables). Campaign counters are never evicted. TTL must exceed
+	// the longest served→last-beacon gap or a late beacon re-opens the
+	// impression and counts it again.
 	TTL time.Duration
 	// Window is the rollup window width (default 1m).
 	Window time.Duration
 	// MaxWindows bounds retained rollup windows (default 60).
 	MaxWindows int
-	// MaxOpen caps the total number of open impression working states
-	// across all shards (0: unbounded, the default). When an insert
-	// pushes past the cap, the least-recently-touched impression in the
-	// same shard is evicted immediately — pressure eviction raises the
-	// same frozen-totals semantics as TTL eviction, just early, so the
-	// aggregator degrades measurement fidelity instead of growing until
-	// the kernel OOM-kills the whole node.
+	// MaxOpen caps open impression states (0: unbounded). Pressure
+	// eviction freezes totals exactly like TTL eviction, just early, so
+	// the aggregator degrades measurement fidelity instead of growing
+	// until the kernel OOM-kills the node.
 	MaxOpen int
 	// DwellBounds are the dwell histogram bucket upper bounds in seconds
 	// (default obs.DwellBuckets).
@@ -70,9 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 16
-	}
-	if o.TTL == 0 {
-		o.TTL = 15 * time.Minute
 	}
 	if o.Window <= 0 {
 		o.Window = time.Minute
@@ -87,34 +82,6 @@ func (o Options) withDefaults() Options {
 		o.Now = time.Now
 	}
 	return o
-}
-
-// srcState is one solution's progress on one open impression.
-type srcState struct {
-	loaded bool
-	viewed bool
-	// inAt / outAt hold unpaired in-view / out-of-view timestamps by
-	// cycle Seq; a completed pair is folded into the dwell histogram and
-	// deleted, so these stay tiny.
-	inAt  map[int]time.Time
-	outAt map[int]time.Time
-}
-
-// impression is the bounded working state for one (campaign, impression
-// id): enough to classify status transitions and pair dwell cycles,
-// nothing more. It is dropped by TTL eviction once the impression goes
-// idle; the campaign counters it contributed to stay.
-type impression struct {
-	format    string // current format bucket (see formatBucket)
-	served    bool
-	lastTouch time.Time // arrival clock, drives TTL eviction
-	sources   map[beacon.Source]*srcState
-}
-
-// aggShard is one lock-striped partition of the open-impression map.
-type aggShard struct {
-	mu   sync.Mutex
-	open map[string]*impression
 }
 
 // rowKey addresses one campaign × format accumulator row.
@@ -162,20 +129,17 @@ type campShard struct {
 // concurrent use. Feed it through beacon.Store.AddObserver so it only
 // ever sees first-seen events.
 type Aggregator struct {
-	opts   Options
-	shards []aggShard  // open impressions, by hash(campaign|impression)
-	camps  []campShard // accumulators, by hash(campaign)
-	mask   uint32
+	opts  Options
+	imps  *lifecycle.Table // open impressions; Label holds the format bucket
+	camps []campShard      // accumulators, by hash(campaign)
+	mask  uint32
 
 	winMu   sync.Mutex
 	windows windowRing
 
-	updates    atomic.Int64 // events folded in
-	evicted    atomic.Int64 // impression states dropped (TTL + pressure)
-	pressureEv atomic.Int64 // the subset evicted by the MaxOpen cap
-	openCount  atomic.Int64 // open impression states, across all shards
-	dwellObs   *obs.Histogram
-	dwellPair  atomic.Int64 // completed in-view/out-of-view pairs
+	updates   atomic.Int64 // events folded in
+	dwellObs  *obs.Histogram
+	dwellPair atomic.Int64 // completed in-view/out-of-view pairs
 }
 
 // New returns an empty aggregator.
@@ -187,31 +151,17 @@ func New(opts Options) *Aggregator {
 	}
 	a := &Aggregator{
 		opts:     opts,
-		shards:   make([]aggShard, size),
 		camps:    make([]campShard, size),
 		mask:     uint32(size - 1),
 		dwellObs: obs.NewHistogram(opts.DwellBounds...),
 	}
-	for i := range a.shards {
-		a.shards[i].open = make(map[string]*impression)
-	}
+	a.imps = lifecycle.New(lifecycle.Options{Shards: size, TTL: opts.TTL, MaxOpen: opts.MaxOpen}, a.fold)
 	for i := range a.camps {
 		a.camps[i].rows = make(map[rowKey]*row)
 		a.camps[i].dwell = make(map[dwellKey]*DwellHist)
 	}
 	a.windows.init(opts.Window, opts.MaxWindows)
 	return a
-}
-
-// fnv1a is the same hash the beacon store shards by, so co-sharding
-// behaves identically.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // formatBucket decides which format row an impression belongs to: the
@@ -240,146 +190,58 @@ func (a *Aggregator) Observe(e beacon.Event) {
 		return
 	}
 	now := a.opts.Now()
-	key := e.CampaignID + "|" + e.ImpressionID
-	sh := &a.shards[fnv1a(key)&a.mask]
-
-	sh.mu.Lock()
-	st, ok := sh.open[key]
-	created := !ok
-	if created {
-		st = &impression{sources: make(map[beacon.Source]*srcState)}
-		sh.open[key] = st
-	}
-	st.lastTouch = now
-
-	// Work out every transition under the impression lock, then apply
-	// them to the campaign shard (nested imp→camp lock order, always).
-	oldFormat := st.format
-	st.format = formatBucket(st.format, e.Meta.Format)
-	migrated := !created && st.format != oldFormat
-
-	cs := &a.camps[fnv1a(e.CampaignID)&a.mask]
-	cs.mu.Lock()
-	if migrated {
-		// Move the impression's pre-event contributions first; the deltas
-		// from this event then land on the new row only, never both.
-		cs.migrate(st, e.CampaignID, oldFormat, st.format)
-	}
-
-	var servedFirst, loadedFirst, viewedFirst bool
-	var dwells []time.Duration
-	switch e.Type {
-	case beacon.EventServed:
-		servedFirst = !st.served
-		st.served = true
-	case beacon.EventLoaded, beacon.EventInView, beacon.EventOutOfView:
-		src := st.sources[e.Source]
-		if src == nil {
-			src = &srcState{}
-			st.sources[e.Source] = src
-		}
-		switch e.Type {
-		case beacon.EventLoaded:
-			loadedFirst = !src.loaded
-			src.loaded = true
-		case beacon.EventInView:
-			if !src.viewed {
-				viewedFirst = true
-				src.viewed = true
-			}
-			if src.inAt == nil {
-				src.inAt = make(map[int]time.Time)
-			}
-			if _, dup := src.inAt[e.Seq]; !dup {
-				if out, ok := src.outAt[e.Seq]; ok {
-					dwells = append(dwells, dwellOf(e.At, out))
-					delete(src.outAt, e.Seq)
-				} else {
-					src.inAt[e.Seq] = e.At
-				}
-			}
-		case beacon.EventOutOfView:
-			if in, ok := src.inAt[e.Seq]; ok {
-				dwells = append(dwells, dwellOf(in, e.At))
-				delete(src.inAt, e.Seq)
-			} else {
-				if src.outAt == nil {
-					src.outAt = make(map[int]time.Time)
-				}
-				src.outAt[e.Seq] = e.At
-			}
-		}
-	}
-
-	r := cs.row(rowKey{e.CampaignID, st.format})
-	if created {
-		r.impressions++
-	}
-	if servedFirst {
-		r.served++
-	}
-	if loadedFirst || viewedFirst {
-		sc := r.srcCounts(e.Source)
-		if loadedFirst {
-			sc.measured++
-			if !st.sources[e.Source].viewed {
-				sc.notViewed++
-			}
-		}
-		if viewedFirst {
-			sc.viewed++
-			if st.sources[e.Source].loaded {
-				sc.notViewed--
-			}
-		}
-	}
-	for _, d := range dwells {
-		cs.dwellHist(dwellKey{e.CampaignID, string(e.Source)}, a.opts.DwellBounds).Observe(d)
-	}
-	cs.mu.Unlock()
-	if created {
-		a.openCount.Add(1)
-		if a.opts.MaxOpen > 0 && a.openCount.Load() > int64(a.opts.MaxOpen) {
-			a.evictColdestLocked(sh, key)
-		}
-	}
-	sh.mu.Unlock()
-
-	for _, d := range dwells {
-		a.dwellObs.ObserveDuration(d)
+	d := a.imps.Observe(e, now)
+	if d.Paired {
+		a.dwellObs.ObserveDuration(d.Dwell)
 		a.dwellPair.Add(1)
 	}
 	a.updates.Add(1)
 	a.winMu.Lock()
-	a.windows.observe(now, e.CampaignID, created, viewedFirst)
+	a.windows.observe(now, e.CampaignID, d.Created, d.ViewedFirst)
 	a.winMu.Unlock()
 }
 
-// evictColdestLocked drops the least-recently-touched impression in sh,
-// sparing keep (the state that just went over the cap — evicting the
-// one impression we know is active would be pure churn). Caller holds
-// sh.mu. The scan is per shard, so the cap is enforced approximately:
-// a shard holding only the active key evicts nothing this round, and
-// the working set converges back under MaxOpen as traffic spreads over
-// the shards. Frozen-totals semantics match TTL eviction exactly.
-func (a *Aggregator) evictColdestLocked(sh *aggShard, keep string) {
-	var coldest string
-	var coldestAt time.Time
-	for k, st := range sh.open {
-		if k == keep {
-			continue
+// fold applies one event's lifecycle delta to the campaign rows. The
+// table calls it under the impression's shard lock; the campaign shard
+// lock nests inside (imp→camp lock order, always).
+func (a *Aggregator) fold(im *lifecycle.Impression, e beacon.Event, d lifecycle.Delta) {
+	oldFormat := im.Label
+	im.Label = formatBucket(im.Label, e.Meta.Format)
+
+	cs := &a.camps[beacon.HashID(e.CampaignID)&a.mask]
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if !d.Created && im.Label != oldFormat {
+		// Move the impression's pre-event contributions first; the deltas
+		// from this event then land on the new row only, never both.
+		cs.migrate(im, e.Source, d, e.CampaignID, oldFormat, im.Label)
+	}
+	r := cs.row(rowKey{e.CampaignID, im.Label})
+	if d.Created {
+		r.impressions++
+	}
+	if d.ServedFirst {
+		r.served++
+	}
+	if d.LoadedFirst || d.ViewedFirst {
+		s := im.Source(e.Source)
+		sc := r.srcCounts(e.Source)
+		if d.LoadedFirst {
+			sc.measured++
+			if !s.Viewed {
+				sc.notViewed++
+			}
 		}
-		if coldest == "" || st.lastTouch.Before(coldestAt) {
-			coldest, coldestAt = k, st.lastTouch
+		if d.ViewedFirst {
+			sc.viewed++
+			if s.Loaded {
+				sc.notViewed--
+			}
 		}
 	}
-	if coldest == "" {
-		return
+	if d.Paired {
+		cs.dwellHist(dwellKey{e.CampaignID, string(e.Source)}, a.opts.DwellBounds).Observe(d.Dwell)
 	}
-	delete(sh.open, coldest)
-	a.openCount.Add(-1)
-	a.evicted.Add(1)
-	a.pressureEv.Add(1)
 }
 
 // Windows returns the retained rollup windows, oldest first.
@@ -387,16 +249,6 @@ func (a *Aggregator) Windows() []WindowSnapshot {
 	a.winMu.Lock()
 	defer a.winMu.Unlock()
 	return a.windows.snapshot()
-}
-
-// dwellOf is the dwell of one in-view→out-of-view cycle; negative spans
-// (client clock skew) clamp to zero so the histogram sum stays sane.
-func dwellOf(in, out time.Time) time.Duration {
-	d := out.Sub(in)
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 // row returns (creating if needed) the accumulator row. Caller holds
@@ -431,40 +283,47 @@ func (c *campShard) dwellHist(k dwellKey, bounds []float64) *DwellHist {
 	return h
 }
 
-// migrate moves one impression's accumulated contributions between
+// migrate moves one impression's pre-event contributions between
 // format rows of the same campaign — triggered when a late event
-// carries a lexicographically smaller format. Caller holds the shard
-// lock; both rows live in it because they share the campaign.
-func (c *campShard) migrate(st *impression, campaign, from, to string) {
-	src := c.row(rowKey{campaign, from})
-	dst := c.row(rowKey{campaign, to})
-	src.impressions--
-	dst.impressions++
-	if st.served {
-		src.served--
-		dst.served++
+// carries a lexicographically smaller format. The impression's state
+// already includes the event from src whose delta is d, so that
+// event's own transitions are subtracted back out here. Caller holds
+// the shard lock; both rows live in it because they share the campaign.
+func (c *campShard) migrate(im *lifecycle.Impression, src beacon.Source, d lifecycle.Delta, campaign, from, to string) {
+	fr := c.row(rowKey{campaign, from})
+	tr := c.row(rowKey{campaign, to})
+	fr.impressions--
+	tr.impressions++
+	if im.Served && !d.ServedFirst {
+		fr.served--
+		tr.served++
 	}
-	for s, state := range st.sources {
-		if !state.loaded && !state.viewed {
+	for _, s := range im.Sources {
+		loaded, viewed := s.Loaded, s.Viewed
+		if s.Source == src {
+			loaded = loaded && !d.LoadedFirst
+			viewed = viewed && !d.ViewedFirst
+		}
+		if !loaded && !viewed {
 			continue
 		}
-		fc, tc := src.srcCounts(s), dst.srcCounts(s)
-		if state.loaded {
+		fc, tc := fr.srcCounts(s.Source), tr.srcCounts(s.Source)
+		if loaded {
 			fc.measured--
 			tc.measured++
 		}
 		switch {
-		case state.viewed:
+		case viewed:
 			fc.viewed--
 			tc.viewed++
-		case state.loaded:
+		case loaded:
 			fc.notViewed--
 			tc.notViewed++
 		}
 	}
 	// A drained row is garbage only if nothing else contributes to it;
 	// impressions is the invariant total, so zero means empty.
-	if src.impressions == 0 {
+	if fr.impressions == 0 {
 		delete(c.rows, rowKey{campaign, from})
 	}
 }
@@ -474,50 +333,22 @@ func (c *campShard) migrate(st *impression, campaign, from, to string) {
 // counters keep their totals; only the dedup/pairing state goes, which
 // bounds memory to TTL × arrival rate open impressions. Unpaired
 // in-view cycles on an evicted impression never produce a dwell sample.
-func (a *Aggregator) Sweep(now time.Time) int {
-	if a.opts.TTL < 0 {
-		return 0
-	}
-	evicted := 0
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for k, st := range sh.open {
-			if now.Sub(st.lastTouch) >= a.opts.TTL {
-				delete(sh.open, k)
-				evicted++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	a.evicted.Add(int64(evicted))
-	a.openCount.Add(-int64(evicted))
-	return evicted
-}
+func (a *Aggregator) Sweep(now time.Time) int { return a.imps.Sweep(now) }
 
 // OpenImpressions returns how many impressions currently hold working
 // state — the quantity TTL eviction bounds.
-func (a *Aggregator) OpenImpressions() int {
-	n := 0
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		n += len(sh.open)
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (a *Aggregator) OpenImpressions() int { return a.imps.Open() }
 
 // Updates returns how many first-seen events have been folded in.
 func (a *Aggregator) Updates() int64 { return a.updates.Load() }
 
 // Evicted returns how many impression states eviction has dropped
 // (TTL sweeps plus MaxOpen pressure evictions).
-func (a *Aggregator) Evicted() int64 { return a.evicted.Load() }
+func (a *Aggregator) Evicted() int64 { return a.imps.Evicted() }
 
 // PressureEvicted returns the subset of evictions forced by the MaxOpen
 // working-set cap rather than the TTL sweep.
-func (a *Aggregator) PressureEvicted() int64 { return a.pressureEv.Load() }
+func (a *Aggregator) PressureEvicted() int64 { return a.imps.PressureEvicted() }
 
 // DwellPairs returns how many in-view/out-of-view cycles completed.
 func (a *Aggregator) DwellPairs() int64 { return a.dwellPair.Load() }
@@ -527,8 +358,8 @@ func (a *Aggregator) DwellPairs() int64 { return a.dwellPair.Load() }
 // histogram (per-campaign dwell lives on GET /report).
 func (a *Aggregator) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("qtag_aggregate_updates_total", "First-seen events folded into the streaming accumulators.", a.updates.Load)
-	r.CounterFunc("qtag_aggregate_evicted_total", "Impression working states dropped by TTL eviction.", a.evicted.Load)
-	r.CounterFunc("qtag_aggregate_pressure_evicted_total", "Impression working states evicted early by the MaxOpen cap.", a.pressureEv.Load)
+	r.CounterFunc("qtag_aggregate_evicted_total", "Impression working states dropped by TTL eviction.", a.imps.Evicted)
+	r.CounterFunc("qtag_aggregate_pressure_evicted_total", "Impression working states evicted early by the MaxOpen cap.", a.imps.PressureEvicted)
 	r.CounterFunc("qtag_aggregate_dwell_pairs_total", "Completed in-view/out-of-view dwell cycles.", a.dwellPair.Load)
 	r.GaugeFunc("qtag_aggregate_open_impressions", "Impressions currently holding working state (bounded by TTL eviction).",
 		func() float64 { return float64(a.OpenImpressions()) })

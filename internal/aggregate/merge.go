@@ -1,6 +1,6 @@
 package aggregate
 
-import "sort"
+import "qtag/internal/beacon"
 
 // Merge combines per-node report snapshots into one cluster-wide
 // snapshot — the federation step behind GET /report?federated=1.
@@ -71,14 +71,8 @@ func Merge(snaps ...Snapshot) Snapshot {
 		// the partition's own NotMeasured export, which every canonical
 		// source carries. Recompute the rates from the merged counts.
 		for src, sc := range r.Sources {
-			sc.MeasuredRate = 0
-			sc.ViewabilityRate = 0
-			if r.Served > 0 {
-				sc.MeasuredRate = float64(sc.Measured) / float64(r.Served)
-			}
-			if sc.Measured > 0 {
-				sc.ViewabilityRate = float64(sc.Viewed) / float64(sc.Measured)
-			}
+			sc.MeasuredRate = beacon.Rate(sc.Measured, r.Served)
+			sc.ViewabilityRate = beacon.Rate(sc.Viewed, sc.Measured)
 			r.Sources[src] = sc
 		}
 		out.Rows = append(out.Rows, *r)
@@ -86,20 +80,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 	for k, d := range dwell {
 		out.Dwell = append(out.Dwell, DwellRow{CampaignID: k.campaign, Source: k.source, Dwell: *d})
 	}
-	sort.Slice(out.Rows, func(i, j int) bool {
-		a, b := out.Rows[i], out.Rows[j]
-		if a.CampaignID != b.CampaignID {
-			return a.CampaignID < b.CampaignID
-		}
-		return a.Format < b.Format
-	})
-	sort.Slice(out.Dwell, func(i, j int) bool {
-		a, b := out.Dwell[i], out.Dwell[j]
-		if a.CampaignID != b.CampaignID {
-			return a.CampaignID < b.CampaignID
-		}
-		return a.Source < b.Source
-	})
+	out.sort()
 	return out
 }
 

@@ -84,21 +84,27 @@ func (a *Aggregator) Snapshot() Snapshot {
 		}
 		cs.mu.Unlock()
 	}
-	sort.Slice(snap.Rows, func(i, j int) bool {
-		a, b := snap.Rows[i], snap.Rows[j]
+	snap.sort()
+	return snap
+}
+
+// sort puts rows in (campaign, format) and dwell rows in (campaign,
+// source) order — the deterministic shape every snapshot has.
+func (s *Snapshot) sort() {
+	sort.Slice(s.Rows, func(i, j int) bool {
+		a, b := s.Rows[i], s.Rows[j]
 		if a.CampaignID != b.CampaignID {
 			return a.CampaignID < b.CampaignID
 		}
 		return a.Format < b.Format
 	})
-	sort.Slice(snap.Dwell, func(i, j int) bool {
-		a, b := snap.Dwell[i], snap.Dwell[j]
+	sort.Slice(s.Dwell, func(i, j int) bool {
+		a, b := s.Dwell[i], s.Dwell[j]
 		if a.CampaignID != b.CampaignID {
 			return a.CampaignID < b.CampaignID
 		}
 		return a.Source < b.Source
 	})
-	return snap
 }
 
 // exportSource derives the report counts from one row's counters; sc
@@ -111,12 +117,8 @@ func exportSource(r *row, sc *srcCounts) SourceCounts {
 		out.NotViewed = sc.notViewed
 	}
 	out.NotMeasured = r.impressions - out.Viewed - out.NotViewed
-	if r.served > 0 {
-		out.MeasuredRate = float64(out.Measured) / float64(r.served)
-	}
-	if out.Measured > 0 {
-		out.ViewabilityRate = float64(out.Viewed) / float64(out.Measured)
-	}
+	out.MeasuredRate = beacon.Rate(out.Measured, r.served)
+	out.ViewabilityRate = beacon.Rate(out.Viewed, out.Measured)
 	return out
 }
 

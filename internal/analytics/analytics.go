@@ -115,18 +115,17 @@ func Table2(store *beacon.Store, campaignIDs ...string) []Table2Cell {
 			return k.Type == beacon.EventServed && k.OS == os && k.SiteType == site &&
 				include(k.CampaignID)
 		})
-		c := Table2Cell{SiteType: site, OS: os, Served: served}
-		if served > 0 {
-			c.QTag = float64(store.Count(func(k beacon.CounterKey) bool {
-				return k.Type == beacon.EventLoaded && k.Source == beacon.SourceQTag &&
+		loaded := func(src beacon.Source) int {
+			return store.Count(func(k beacon.CounterKey) bool {
+				return k.Type == beacon.EventLoaded && k.Source == src &&
 					k.OS == os && k.SiteType == site && include(k.CampaignID)
-			})) / float64(served)
-			c.Commercial = float64(store.Count(func(k beacon.CounterKey) bool {
-				return k.Type == beacon.EventLoaded && k.Source == beacon.SourceCommercial &&
-					k.OS == os && k.SiteType == site && include(k.CampaignID)
-			})) / float64(served)
+			})
 		}
-		cells = append(cells, c)
+		cells = append(cells, Table2Cell{
+			SiteType: site, OS: os, Served: served,
+			QTag:       beacon.Rate(loaded(beacon.SourceQTag), served),
+			Commercial: beacon.Rate(loaded(beacon.SourceCommercial), served),
+		})
 	}
 	return cells
 }

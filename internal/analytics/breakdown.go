@@ -85,34 +85,17 @@ type SliceRates struct {
 	QTagView   float64 // viewability rate of Q-Tag-measured impressions
 }
 
-// BreakdownBy computes measured rates grouped by a counter-backed
-// dimension (exchange, country, OS or site type), sorted by key. ByAdSize
-// is event-backed and must go through TimeSeries/event scans; it returns
-// nil here.
+// BreakdownBy computes measured rates grouped by a dimension, sorted by
+// key. Exchange, country, OS and site type read the store's counters;
+// ByAdSize is not a counter dimension, so it scans the raw events.
 func BreakdownBy(store *beacon.Store, dim Dimension) []SliceRates {
 	if dim == ByAdSize {
 		return breakdownFromEvents(store, dim)
 	}
 	acc := map[string]*sliceCounts{}
 	for k, n := range store.Counters() {
-		key, ok := dim.keyOf(k)
-		if !ok {
-			continue
-		}
-		c := acc[key]
-		if c == nil {
-			c = &sliceCounts{}
-			acc[key] = c
-		}
-		switch {
-		case k.Type == beacon.EventServed:
-			c.served += n
-		case k.Type == beacon.EventLoaded && k.Source == beacon.SourceQTag:
-			c.qtag += n
-		case k.Type == beacon.EventLoaded && k.Source == beacon.SourceCommercial:
-			c.comm += n
-		case k.Type == beacon.EventInView && k.Source == beacon.SourceQTag:
-			c.qview += n
+		if key, ok := dim.keyOf(k); ok {
+			tally(acc, key).add(k.Type, k.Source, n)
 		}
 	}
 	return finishSlices(acc)
@@ -121,44 +104,51 @@ func BreakdownBy(store *beacon.Store, dim Dimension) []SliceRates {
 func breakdownFromEvents(store *beacon.Store, dim Dimension) []SliceRates {
 	acc := map[string]*sliceCounts{}
 	for _, e := range store.Events() {
-		key, ok := dim.keyOfEvent(e)
-		if !ok {
-			continue
-		}
-		c := acc[key]
-		if c == nil {
-			c = &sliceCounts{}
-			acc[key] = c
-		}
-		switch {
-		case e.Type == beacon.EventServed:
-			c.served++
-		case e.Type == beacon.EventLoaded && e.Source == beacon.SourceQTag:
-			c.qtag++
-		case e.Type == beacon.EventLoaded && e.Source == beacon.SourceCommercial:
-			c.comm++
-		case e.Type == beacon.EventInView && e.Source == beacon.SourceQTag:
-			c.qview++
+		if key, ok := dim.keyOfEvent(e); ok {
+			tally(acc, key).add(e.Type, e.Source, 1)
 		}
 	}
 	return finishSlices(acc)
 }
 
-// sliceCounts accumulates the raw event counts behind one slice.
+// sliceCounts accumulates the raw event counts behind one slice: served
+// events, loaded check-ins per solution, and Q-Tag in-views.
 type sliceCounts struct{ served, qtag, comm, qview int }
+
+// tally returns (creating if needed) the counts for key.
+func tally[K comparable](acc map[K]*sliceCounts, key K) *sliceCounts {
+	c := acc[key]
+	if c == nil {
+		c = &sliceCounts{}
+		acc[key] = c
+	}
+	return c
+}
+
+// add counts n events of one type and source.
+func (c *sliceCounts) add(typ beacon.EventType, src beacon.Source, n int) {
+	switch {
+	case typ == beacon.EventServed:
+		c.served += n
+	case typ == beacon.EventLoaded && src == beacon.SourceQTag:
+		c.qtag += n
+	case typ == beacon.EventLoaded && src == beacon.SourceCommercial:
+		c.comm += n
+	case typ == beacon.EventInView && src == beacon.SourceQTag:
+		c.qview += n
+	}
+}
 
 func finishSlices(acc map[string]*sliceCounts) []SliceRates {
 	out := make([]SliceRates, 0, len(acc))
 	for key, c := range acc {
-		s := SliceRates{Key: key, Served: c.served}
-		if c.served > 0 {
-			s.QTag = float64(c.qtag) / float64(c.served)
-			s.Commercial = float64(c.comm) / float64(c.served)
-		}
-		if c.qtag > 0 {
-			s.QTagView = float64(c.qview) / float64(c.qtag)
-		}
-		out = append(out, s)
+		out = append(out, SliceRates{
+			Key:        key,
+			Served:     c.served,
+			QTag:       beacon.Rate(c.qtag, c.served),
+			Commercial: beacon.Rate(c.comm, c.served),
+			QTagView:   beacon.Rate(c.qview, c.qtag),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -179,25 +169,10 @@ func TimeSeries(store *beacon.Store, width time.Duration) []Bucket {
 	if width <= 0 {
 		panic("analytics: TimeSeries needs a positive bucket width")
 	}
-	type counts struct{ served, loaded, inview int }
-	acc := map[int64]*counts{}
+	acc := map[int64]*sliceCounts{}
 	for _, e := range store.Events() {
-		if e.At.IsZero() {
-			continue
-		}
-		slot := e.At.UnixNano() / int64(width)
-		c := acc[slot]
-		if c == nil {
-			c = &counts{}
-			acc[slot] = c
-		}
-		switch {
-		case e.Type == beacon.EventServed:
-			c.served++
-		case e.Type == beacon.EventLoaded && e.Source == beacon.SourceQTag:
-			c.loaded++
-		case e.Type == beacon.EventInView && e.Source == beacon.SourceQTag:
-			c.inview++
+		if !e.At.IsZero() {
+			tally(acc, e.At.UnixNano()/int64(width)).add(e.Type, e.Source, 1)
 		}
 	}
 	slots := make([]int64, 0, len(acc))
@@ -208,14 +183,12 @@ func TimeSeries(store *beacon.Store, width time.Duration) []Bucket {
 	out := make([]Bucket, 0, len(slots))
 	for _, s := range slots {
 		c := acc[s]
-		b := Bucket{Start: time.Unix(0, s*int64(width)).UTC(), Served: c.served}
-		if c.served > 0 {
-			b.QTag = float64(c.loaded) / float64(c.served)
-		}
-		if c.loaded > 0 {
-			b.InView = float64(c.inview) / float64(c.loaded)
-		}
-		out = append(out, b)
+		out = append(out, Bucket{
+			Start:  time.Unix(0, s*int64(width)).UTC(),
+			Served: c.served,
+			QTag:   beacon.Rate(c.qtag, c.served),
+			InView: beacon.Rate(c.qview, c.qtag),
+		})
 	}
 	return out
 }

@@ -7,8 +7,11 @@
 // It replays a store's events per impression and flags:
 //
 //   - protocol violations — measurement events for impressions the DSP
-//     never served, in-view without a tag check-in, out-of-view without a
-//     preceding in-view;
+//     never served, in-view without a tag check-in, out-of-view cycles
+//     without their in-view. These are the outstanding sequence
+//     violations of the lifecycle table (internal/lifecycle) the
+//     streaming detectors run, so the auditor and internal/detect apply
+//     one rule set and count the same findings;
 //   - physically impossible timings — an in-view beacon earlier than
 //     (loaded + the standard's dwell) cannot result from a correct tag
 //     and indicates spoofed beacons or a broken clock;
@@ -26,6 +29,7 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/lifecycle"
 	"qtag/internal/viewability"
 )
 
@@ -39,8 +43,8 @@ const (
 	// InViewWithoutLoaded: viewability reported by a tag that never
 	// checked in.
 	InViewWithoutLoaded
-	// OutOfViewWithoutInView: visibility loss reported before any
-	// in-view.
+	// OutOfViewWithoutInView: a visibility-loss cycle (Seq) with no
+	// in-view of the same cycle — one finding per unpaired cycle.
 	OutOfViewWithoutInView
 	// ImpossibleDwell: in-view earlier than loaded + the standard's
 	// minimum dwell — no correct tag can produce this.
@@ -135,8 +139,12 @@ type impressionKey struct {
 // Run audits every impression in the store.
 func Run(store *beacon.Store, opts Options) *Report {
 	opts = opts.withDefaults()
+	// One lifecycle table over the whole log, TTL disabled: after the
+	// last event its outstanding violations are the protocol findings.
+	table := lifecycle.New(lifecycle.Options{TTL: -1}, nil)
 	groups := map[impressionKey][]beacon.Event{}
 	for _, e := range store.Events() {
+		table.Observe(e, time.Time{})
 		k := impressionKey{campaign: e.CampaignID, impression: e.ImpressionID}
 		groups[k] = append(groups[k], e)
 	}
@@ -154,7 +162,7 @@ func Run(store *beacon.Store, opts Options) *Report {
 	rep := &Report{ByKind: map[FindingKind]int{}}
 	for _, k := range keys {
 		rep.Impressions++
-		findings := auditImpression(k, groups[k], opts)
+		findings := auditImpression(k, table.Lookup(k.campaign, k.impression), groups[k], opts)
 		if len(findings) == 0 {
 			rep.CleanImpressions++
 		}
@@ -166,8 +174,10 @@ func Run(store *beacon.Store, opts Options) *Report {
 	return rep
 }
 
-// auditImpression checks one impression's event set.
-func auditImpression(k impressionKey, events []beacon.Event, opts Options) []Finding {
+// auditImpression checks one impression: the protocol findings come
+// from its lifecycle state im, the timing findings from the earliest
+// event of each type per source in its event set.
+func auditImpression(k impressionKey, im *lifecycle.Impression, events []beacon.Event, opts Options) []Finding {
 	var findings []Finding
 	add := func(kind FindingKind, src beacon.Source, detail string) {
 		findings = append(findings, Finding{
@@ -176,15 +186,13 @@ func auditImpression(k impressionKey, events []beacon.Event, opts Options) []Fin
 		})
 	}
 
-	served := false
 	perSource := map[beacon.Source]map[beacon.EventType]beacon.Event{}
 	var format string
 	for _, e := range events {
+		if e.Meta.Format != "" {
+			format = e.Meta.Format
+		}
 		if e.Type == beacon.EventServed {
-			served = true
-			if e.Meta.Format != "" {
-				format = e.Meta.Format
-			}
 			continue
 		}
 		m := perSource[e.Source]
@@ -196,9 +204,6 @@ func auditImpression(k impressionKey, events []beacon.Event, opts Options) []Fin
 		if prev, ok := m[e.Type]; !ok || e.At.Before(prev.At) {
 			m[e.Type] = e
 		}
-		if e.Meta.Format != "" {
-			format = e.Meta.Format
-		}
 	}
 
 	sources := make([]beacon.Source, 0, len(perSource))
@@ -208,20 +213,23 @@ func auditImpression(k impressionKey, events []beacon.Event, opts Options) []Fin
 	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
 
 	for _, src := range sources {
-		m := perSource[src]
-		if !served {
+		st := im.Source(src)
+		if !im.Served {
 			add(OrphanMeasurement, src, "tag events without a served log")
 		}
+		if st.Viewed && !st.Loaded {
+			add(InViewWithoutLoaded, src, "viewability reported by a tag that never checked in")
+		}
+		unpaired := st.UnpairedOut()
+		sort.Ints(unpaired)
+		for _, seq := range unpaired {
+			add(OutOfViewWithoutInView, src, fmt.Sprintf("out-of-view cycle %d without its in-view", seq))
+		}
+
+		m := perSource[src]
 		loaded, hasLoaded := m[beacon.EventLoaded]
 		inView, hasInView := m[beacon.EventInView]
 		outView, hasOut := m[beacon.EventOutOfView]
-
-		if hasInView && !hasLoaded {
-			add(InViewWithoutLoaded, src, "viewability reported by a tag that never checked in")
-		}
-		if hasOut && !hasInView {
-			add(OutOfViewWithoutInView, src, "out-of-view without a preceding in-view")
-		}
 		if hasLoaded && hasInView && !loaded.At.IsZero() && !inView.At.IsZero() {
 			if inView.At.Before(loaded.At) {
 				add(OrderViolation, src, fmt.Sprintf("in-view at %v precedes loaded at %v",

@@ -498,14 +498,11 @@ func (s *Server) statsFor(campaignID string) StatsResponse {
 	for _, src := range []Source{SourceQTag, SourceCommercial} {
 		loaded := s.store.Loaded(campaignID, src)
 		inView := s.store.InView(campaignID, src)
-		st := SourceStats{Loaded: loaded, InView: inView}
-		if resp.Served > 0 {
-			st.MeasuredRate = float64(loaded) / float64(resp.Served)
+		resp.Sources[string(src)] = SourceStats{
+			Loaded: loaded, InView: inView,
+			MeasuredRate:    Rate(loaded, resp.Served),
+			ViewabilityRate: Rate(inView, loaded),
 		}
-		if loaded > 0 {
-			st.ViewabilityRate = float64(inView) / float64(loaded)
-		}
-		resp.Sources[string(src)] = st
 	}
 	return resp
 }

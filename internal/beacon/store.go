@@ -291,13 +291,26 @@ func (s *Store) Loaded(campaignID string, src Source) int {
 	})
 }
 
-// InView returns the number of first-cycle in-view impressions for a
-// solution and campaign ("" for all). Repeated cycles (Seq > 0) are not
-// double counted because Submit dedupes on (impression, source, type,
-// seq) and qtag/commercial tags report the criteria being met once.
+// InView returns the number of in-view events for a solution and
+// campaign ("" for all). It counts visibility cycles, not impressions:
+// Seq is part of the idempotency key, so an impression reporting
+// in-view for Seq 0 and again for Seq 1 counts twice, and the
+// viewability rate derived from these counters (GET /v1/stats) can
+// exceed 1. GET /report (internal/aggregate) counts each impression
+// once.
 func (s *Store) InView(campaignID string, src Source) int {
 	return s.Count(func(k CounterKey) bool {
 		return k.Type == EventInView && k.Source == src &&
 			(campaignID == "" || k.CampaignID == campaignID)
 	})
+}
+
+// Rate is the one rate rule every report applies: part/whole, 0 on an
+// empty whole. The measured rate is Rate(loaded, served) and the
+// viewability rate Rate(in-view, loaded) (§4).
+func Rate[T int | int64](part, whole T) float64 {
+	if whole <= 0 {
+		return 0
+	}
+	return float64(part) / float64(whole)
 }

@@ -166,39 +166,23 @@ type CampaignResult struct {
 
 // MeasuredRate returns loaded/served for a solution.
 func (c CampaignResult) MeasuredRate(src beacon.Source) float64 {
-	if c.Served == 0 {
-		return 0
+	if src == beacon.SourceCommercial {
+		return beacon.Rate(c.CommercialLoaded, c.Served)
 	}
-	switch src {
-	case beacon.SourceCommercial:
-		return float64(c.CommercialLoaded) / float64(c.Served)
-	default:
-		return float64(c.QTagLoaded) / float64(c.Served)
-	}
+	return beacon.Rate(c.QTagLoaded, c.Served)
 }
 
 // ViewabilityRate returns in-view/loaded for a solution.
 func (c CampaignResult) ViewabilityRate(src beacon.Source) float64 {
-	switch src {
-	case beacon.SourceCommercial:
-		if c.CommercialLoaded == 0 {
-			return 0
-		}
-		return float64(c.CommercialInView) / float64(c.CommercialLoaded)
-	default:
-		if c.QTagLoaded == 0 {
-			return 0
-		}
-		return float64(c.QTagInView) / float64(c.QTagLoaded)
+	if src == beacon.SourceCommercial {
+		return beacon.Rate(c.CommercialInView, c.CommercialLoaded)
 	}
+	return beacon.Rate(c.QTagInView, c.QTagLoaded)
 }
 
 // TruthViewabilityRate returns the ground-truth viewed fraction.
 func (c CampaignResult) TruthViewabilityRate() float64 {
-	if c.Served == 0 {
-		return 0
-	}
-	return float64(c.TruthViewed) / float64(c.Served)
+	return beacon.Rate(c.TruthViewed, c.Served)
 }
 
 // ImpressionRecord is one impression's ground truth (only collected with

@@ -30,10 +30,12 @@
 // makes a detector rebuilt by WAL replay on boot DeepEqual one that
 // watched the traffic live (the property the fraud-chaos suite
 // enforces), exactly mirroring aggregate's streaming ≡ batch oracle.
-// Working state is bounded the same way aggregate bounds its: per-
-// impression pairing state falls to TTL sweeps and a MaxOpen pressure
-// cap, score rows to a MaxRows cap, per-row placement maps to
-// MaxSlots.
+// The per-impression lifecycle state is internal/lifecycle's table,
+// shared in kind (not instance) with aggregate: the sequence detector
+// sums that table's violation deltas, so it counts exactly what
+// internal/audit reports. Working state is bounded by the table's TTL
+// sweep and MaxOpen cap, score rows by MaxRows, per-row placement maps
+// by MaxSlots.
 package detect
 
 import (
@@ -42,6 +44,7 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/lifecycle"
 	"qtag/internal/obs"
 )
 
@@ -70,16 +73,11 @@ type Options struct {
 	// working state and the score rows, rounded up to a power of two
 	// (default 16, matching the beacon store and aggregate).
 	Shards int
-	// TTL evicts an impression's pairing/sequencing state after this
-	// much arrival-clock idle time (default 15m; <0 disables, 0 means
-	// default). Row counters keep their totals — eviction freezes, it
-	// never un-counts. As with aggregate, TTL must exceed the longest
-	// served→last-beacon gap or late beacons re-open state and shift
-	// sequence counts.
-	TTL time.Duration
-	// MaxOpen caps open impression working states across all shards
-	// (0: unbounded). Over the cap, the least-recently-touched
-	// impression in the inserting shard is evicted immediately.
+	// TTL and MaxOpen bound the per-impression lifecycle state exactly
+	// as lifecycle.Options documents (default TTL 15m, <0 disables;
+	// MaxOpen 0 is unbounded). Row counters keep their totals —
+	// eviction freezes, it never un-counts.
+	TTL     time.Duration
 	MaxOpen int
 	// MaxRows caps score rows (campaign × solution) across all shards
 	// (default 4096). Over the cap the least-recently-touched row in
@@ -136,9 +134,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 16
-	}
-	if o.TTL == 0 {
-		o.TTL = 15 * time.Minute
 	}
 	if o.MaxRows <= 0 {
 		o.MaxRows = 4096
@@ -207,39 +202,6 @@ const (
 	minStackViews = 10 // in-views with a slot before concentration means anything
 )
 
-// impSrc is one solution's progress on one open impression, plus the
-// net-adjusting sequence flags: a violation counted on the row is
-// un-counted if the missing lifecycle event arrives late, so the final
-// counts depend only on the final event set, not arrival order.
-type impSrc struct {
-	loaded bool
-	viewed bool
-	// noLoadCounted: this source's in-view-without-loaded violation is
-	// currently counted on the row; a late loaded decrements it.
-	noLoadCounted bool
-	// noServeCounted: this source's beacons-without-served violation
-	// is currently counted; a late served event decrements it.
-	noServeCounted bool
-	// inAt / outAt hold unpaired cycle timestamps by Seq, exactly as
-	// in aggregate; a completed pair folds into the dwell counters and
-	// is deleted.
-	inAt  map[int]time.Time
-	outAt map[int]time.Time
-}
-
-// impState is the bounded working state for one (campaign, impression).
-type impState struct {
-	served    bool
-	lastTouch time.Time // arrival clock, drives TTL eviction
-	sources   map[beacon.Source]*impSrc
-}
-
-// impShard is one lock-striped partition of the open-impression map.
-type impShard struct {
-	mu   sync.Mutex
-	open map[string]*impState
-}
-
 // rowKey addresses one campaign × solution score row ("dsp" for
 // served events).
 type rowKey struct {
@@ -264,7 +226,7 @@ type row struct {
 	dwellZero  int64
 	dwellExact int64
 
-	// Sequence violations (net-adjusting, see impSrc).
+	// Sequence violations (net-adjusting lifecycle deltas).
 	seqNoLoad    int64
 	seqNoServe   int64
 	seqOrphanOut int64
@@ -292,16 +254,13 @@ type rowShard struct {
 // first-seen / duplicate partition of valid submissions.
 type Detector struct {
 	opts  Options
-	imps  []impShard
+	imps  *lifecycle.Table // per-impression pairing/sequencing state
 	camps []rowShard
 	mask  uint32
 
 	updates    atomic.Int64 // first-seen events folded in
 	dupEvents  atomic.Int64 // duplicate submissions folded in
-	openCount  atomic.Int64 // open impression working states
 	rowCount   atomic.Int64 // live score rows
-	evicted    atomic.Int64 // impression states dropped (TTL + pressure)
-	pressureEv atomic.Int64 // the MaxOpen subset
 	rowEvicted atomic.Int64 // score rows dropped by the MaxRows cap
 }
 
@@ -314,27 +273,14 @@ func New(opts Options) *Detector {
 	}
 	d := &Detector{
 		opts:  opts,
-		imps:  make([]impShard, size),
 		camps: make([]rowShard, size),
 		mask:  uint32(size - 1),
 	}
-	for i := range d.imps {
-		d.imps[i].open = make(map[string]*impState)
-	}
+	d.imps = lifecycle.New(lifecycle.Options{Shards: size, TTL: opts.TTL, MaxOpen: opts.MaxOpen}, d.fold)
 	for i := range d.camps {
 		d.camps[i].rows = make(map[rowKey]*row)
 	}
 	return d
-}
-
-// fnv1a matches the beacon store's shard hash.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // sourceLabel maps an event source to its row label.
@@ -363,23 +309,18 @@ func (d *Detector) Observe(e beacon.Event) {
 	if e.Validate() != nil {
 		return
 	}
-	now := d.opts.Now()
-	impKey := e.CampaignID + "|" + e.ImpressionID
-	sh := &d.imps[fnv1a(impKey)&d.mask]
+	d.imps.Observe(e, d.opts.Now())
+	d.updates.Add(1)
+}
 
-	sh.mu.Lock()
-	st, ok := sh.open[impKey]
-	created := !ok
-	if created {
-		st = &impState{sources: make(map[beacon.Source]*impSrc)}
-		sh.open[impKey] = st
-	}
-	st.lastTouch = now
-
-	// All row updates for this event happen under the campaign shard
-	// lock (nested imp→row lock order, always — matching aggregate).
-	cs := &d.camps[fnv1a(e.CampaignID)&d.mask]
+// fold applies one event and its lifecycle delta to the score rows.
+// The table calls it under the impression's shard lock; the row shard
+// lock nests inside (imp→row lock order, always — as in aggregate).
+func (d *Detector) fold(im *lifecycle.Impression, e beacon.Event, dl lifecycle.Delta) {
+	now := im.LastTouch
+	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}, now)
 	r.lastTouch = now
 	r.events++
@@ -390,99 +331,49 @@ func (d *Detector) Observe(e beacon.Event) {
 			r.pixel++
 		}
 	}
-
-	switch e.Type {
-	case beacon.EventServed:
-		if !st.served {
-			st.served = true
-			r.impressions++
-			// The served event arrived (possibly late): un-count every
-			// solution's beacons-without-served violation. Eviction
-			// freezes, it never un-counts — so a row the MaxRows cap
-			// already dropped is left absent, not recreated and driven
-			// negative; the clamp guards the same invariant if the row
-			// was evicted and later recreated by fresh traffic.
-			for s, ss := range st.sources {
-				if ss.noServeCounted {
-					ss.noServeCounted = false
-					if rr := cs.rows[rowKey{e.CampaignID, sourceLabel(s)}]; rr != nil && rr.seqNoServe > 0 {
-						rr.seqNoServe--
-					}
-				}
-			}
-		}
-	default:
-		ss := st.sources[e.Source]
-		if ss == nil {
-			ss = &impSrc{}
-			st.sources[e.Source] = ss
-			r.impressions++
-			if !st.served {
-				ss.noServeCounted = true
-				r.seqNoServe++
-			}
-		}
-		switch e.Type {
-		case beacon.EventLoaded:
-			if !ss.loaded {
-				ss.loaded = true
-				if ss.noLoadCounted {
-					ss.noLoadCounted = false
-					if r.seqNoLoad > 0 { // clamp: the counted row may have been evicted and recreated
-						r.seqNoLoad--
-					}
-				}
-			}
-		case beacon.EventInView:
-			if !ss.viewed {
-				ss.viewed = true
-				if !ss.loaded {
-					ss.noLoadCounted = true
-					r.seqNoLoad++
-				}
-			}
-			if e.Meta.Slot != "" {
-				r.addSlotView(e.Meta.Slot, d.opts.MaxSlots)
-			}
-			if ss.inAt == nil {
-				ss.inAt = make(map[int]time.Time)
-			}
-			if _, dup := ss.inAt[e.Seq]; !dup {
-				if out, ok := ss.outAt[e.Seq]; ok {
-					delete(ss.outAt, e.Seq)
-					if r.seqOrphanOut > 0 { // clamp: the counted row may have been evicted and recreated
-						r.seqOrphanOut--
-					}
-					r.observeDwell(dwellOf(e.At, out), d.opts)
-				} else {
-					ss.inAt[e.Seq] = e.At
-				}
-			}
-		case beacon.EventOutOfView:
-			if in, ok := ss.inAt[e.Seq]; ok {
-				delete(ss.inAt, e.Seq)
-				r.observeDwell(dwellOf(in, e.At), d.opts)
-			} else {
-				if ss.outAt == nil {
-					ss.outAt = make(map[int]time.Time)
-				}
-				if _, dup := ss.outAt[e.Seq]; !dup {
-					ss.outAt[e.Seq] = e.At
-					r.seqOrphanOut++
-				}
+	if dl.ServedFirst || dl.SourceFirst {
+		r.impressions++
+	}
+	if dl.ServedFirst {
+		// The served event arrived (possibly late): un-count every
+		// solution's beacons-without-served violation. Eviction
+		// freezes, it never un-counts — so a row the MaxRows cap
+		// already dropped is left absent, not recreated and driven
+		// negative; the clamp guards the same invariant if the row
+		// was evicted and later recreated by fresh traffic.
+		for _, s := range im.Sources {
+			if rr := cs.rows[rowKey{e.CampaignID, sourceLabel(s.Source)}]; rr != nil {
+				unCount(&rr.seqNoServe)
 			}
 		}
 	}
-	cs.mu.Unlock()
-
-	if created {
-		d.openCount.Add(1)
-		if d.opts.MaxOpen > 0 && d.openCount.Load() > int64(d.opts.MaxOpen) {
-			d.evictColdestLocked(sh, impKey)
-		}
+	// Negative deltas clamp for the same reason: the row that counted
+	// the violation may have been evicted and recreated since.
+	r.seqNoServe += int64(dl.NoServe)
+	adjust(&r.seqNoLoad, dl.NoLoad)
+	adjust(&r.seqOrphanOut, dl.OrphanOut)
+	if e.Type == beacon.EventInView && e.Meta.Slot != "" {
+		r.addSlotView(e.Meta.Slot, d.opts.MaxSlots)
 	}
-	sh.mu.Unlock()
-	d.updates.Add(1)
+	if dl.Paired {
+		r.observeDwell(dl.Dwell, d.opts)
+	}
+}
+
+// adjust applies a ±1 violation delta, clamping un-counts at zero.
+func adjust(n *int64, delta int) {
+	if delta < 0 {
+		unCount(n)
+	} else {
+		*n += int64(delta)
+	}
+}
+
+// unCount decrements a violation counter without driving it negative.
+func unCount(n *int64) {
+	if *n > 0 {
+		*n--
+	}
 }
 
 // ObserveDup folds one duplicate submission into the flood counters.
@@ -494,7 +385,7 @@ func (d *Detector) ObserveDup(e beacon.Event) {
 		return
 	}
 	now := d.opts.Now()
-	cs := &d.camps[fnv1a(e.CampaignID)&d.mask]
+	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
 	cs.mu.Lock()
 	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}, now)
 	r.lastTouch = now
@@ -588,74 +479,13 @@ func (r *row) addSlotView(slot string, maxSlots int) {
 	r.slotViews[slot]++
 }
 
-// dwellOf clamps a cycle span at zero, as in aggregate.
-func dwellOf(in, out time.Time) time.Duration {
-	d := out.Sub(in)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// evictColdestLocked drops the least-recently-touched impression in
-// sh, sparing keep. Caller holds sh.mu. Identical semantics to
-// aggregate's pressure eviction: per-shard approximate cap, frozen
-// row totals.
-func (d *Detector) evictColdestLocked(sh *impShard, keep string) {
-	var coldest string
-	var coldestAt time.Time
-	for k, st := range sh.open {
-		if k == keep {
-			continue
-		}
-		if coldest == "" || st.lastTouch.Before(coldestAt) {
-			coldest, coldestAt = k, st.lastTouch
-		}
-	}
-	if coldest == "" {
-		return
-	}
-	delete(sh.open, coldest)
-	d.openCount.Add(-1)
-	d.evicted.Add(1)
-	d.pressureEv.Add(1)
-}
-
 // Sweep drops the working state of every impression idle for at least
 // the TTL as of now, returning how many were evicted. Row counters
 // keep their totals.
-func (d *Detector) Sweep(now time.Time) int {
-	if d.opts.TTL < 0 {
-		return 0
-	}
-	evicted := 0
-	for i := range d.imps {
-		sh := &d.imps[i]
-		sh.mu.Lock()
-		for k, st := range sh.open {
-			if now.Sub(st.lastTouch) >= d.opts.TTL {
-				delete(sh.open, k)
-				evicted++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	d.evicted.Add(int64(evicted))
-	d.openCount.Add(-int64(evicted))
-	return evicted
-}
+func (d *Detector) Sweep(now time.Time) int { return d.imps.Sweep(now) }
 
 // OpenImpressions returns how many impressions hold working state.
-func (d *Detector) OpenImpressions() int {
-	n := 0
-	for i := range d.imps {
-		sh := &d.imps[i]
-		sh.mu.Lock()
-		n += len(sh.open)
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (d *Detector) OpenImpressions() int { return d.imps.Open() }
 
 // Rows returns how many score rows are live.
 func (d *Detector) Rows() int { return int(d.rowCount.Load()) }
@@ -667,13 +497,13 @@ func (d *Detector) Updates() int64 { return d.updates.Load() }
 func (d *Detector) DupEvents() int64 { return d.dupEvents.Load() }
 
 // Evicted returns dropped impression working states (TTL + pressure).
-func (d *Detector) Evicted() int64 { return d.evicted.Load() }
+func (d *Detector) Evicted() int64 { return d.imps.Evicted() }
 
 // RegisterMetrics exports the detection layer on a metrics registry.
 func (d *Detector) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("qtag_detect_updates_total", "First-seen events folded into the fraud detectors.", d.updates.Load)
 	r.CounterFunc("qtag_detect_dup_events_total", "Duplicate submissions folded into the flood detector.", d.dupEvents.Load)
-	r.CounterFunc("qtag_detect_evicted_total", "Impression working states dropped by TTL/pressure eviction.", d.evicted.Load)
+	r.CounterFunc("qtag_detect_evicted_total", "Impression working states dropped by TTL/pressure eviction.", d.imps.Evicted)
 	r.CounterFunc("qtag_detect_row_evicted_total", "Score rows dropped by the MaxRows working-set cap.", d.rowEvicted.Load)
 	r.GaugeFunc("qtag_detect_open_impressions", "Impressions currently holding detection working state.",
 		func() float64 { return float64(d.OpenImpressions()) })
